@@ -307,10 +307,14 @@ BENCHMARK(BM_AdaptiveJoin_InterleavePolicy)
     ->Arg(static_cast<int>(exec::InterleavePolicy::kProportional));
 
 /// §2.3 space model: report index memory as per-iteration counters.
+/// The model describes the paper's unfiltered index (every gram
+/// posted), so the core is built without the filter stack.
 void BM_IndexSpaceModel(benchmark::State& state) {
   const auto& tc = SharedCase(4000);
+  join::JoinSpec spec = JoinOptions().spec;
+  spec.filter = join::ApproxFilterOptions{};
   for (auto _ : state) {
-    join::HybridJoinCore core(JoinOptions().spec);
+    join::HybridJoinCore core(spec);
     core.SetProbeMode(exec::Side::kLeft, join::ProbeMode::kApproximate);
     core.SetProbeMode(exec::Side::kRight, join::ProbeMode::kApproximate);
     for (size_t i = 0; i < tc.parent.size(); ++i) {

@@ -121,10 +121,8 @@ void AdaptiveJoin::ApplyTransition(ProcessorState next,
   // side that `side`'s probes will now use; record the work as the
   // paper's switch cost.
   Timer timer;
-  record.catchup_left =
-      mutable_core()->SetProbeMode(exec::Side::kLeft, LeftMode(next));
-  record.catchup_right =
-      mutable_core()->SetProbeMode(exec::Side::kRight, RightMode(next));
+  record.catchup_left = SetProbeMode(exec::Side::kLeft, LeftMode(next));
+  record.catchup_right = SetProbeMode(exec::Side::kRight, RightMode(next));
   transition_time_ns_[StateIndex(next)] += timer.ElapsedNanos();
   state_ = next;
   cost_.AddTransition(next);

@@ -117,6 +117,16 @@ void RadixExchange::DiscardStaged(const std::vector<JoinShard*>& shards) {
   for (JoinShard* shard : shards) shard->DiscardStaged();
 }
 
+void RadixExchange::SampleUnrouted(join::GramOrderSampler* sampler) const {
+  for (exec::Side side : {exec::Side::kLeft, exec::Side::kRight}) {
+    const size_t i = static_cast<size_t>(side);
+    const size_t column = spec_.column(side);
+    for (size_t row = input_pos_[i]; row < input_batch_[i].size(); ++row) {
+      if (!sampler->Add(side, input_batch_[i].StringAt(column, row))) break;
+    }
+  }
+}
+
 Result<uint64_t> RadixExchange::RouteLoop(
     uint64_t max_steps, const std::vector<JoinShard*>& shards,
     std::vector<RouteEntry>* route, bool staged) {

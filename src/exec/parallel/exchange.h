@@ -110,6 +110,11 @@ class RadixExchange {
   void DiscardStaged(const std::vector<JoinShard*>& shards);
   /// @}
 
+  /// Feeds `sampler`, per side in read order, the rows already pulled
+  /// from the child but not routed yet: the tail of the resident
+  /// refill batch. Coordinator only, with no ingest task in flight.
+  void SampleUnrouted(join::GramOrderSampler* sampler) const;
+
   /// Global steps routed so far (published).
   uint64_t steps() const { return pub_steps_; }
 

@@ -1,6 +1,7 @@
 #include "exec/parallel/parallel_join.h"
 
 #include <algorithm>
+#include <cassert>
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
@@ -507,6 +508,7 @@ Status ParallelAdaptiveJoin::PumpEpoch(bool* stream_ended) {
     UpdateMemoryAccounting();
     return Status::OK();
   }
+  if (epoch_ == 0) InstallDerivedGramOrder();
   for (JoinShard* shard : shard_ptrs_) shard->BeginEpoch();
   // With the pending tier now swapped into the epoch tier, the staged
   // tier is free: start routing the next epoch while this one's
@@ -576,6 +578,26 @@ Status ParallelAdaptiveJoin::PumpEpoch(bool* stream_ended) {
   // roll them back.
   route_.clear();
   return Status::OK();
+}
+
+void ParallelAdaptiveJoin::InstallDerivedGramOrder() {
+  const adaptive::AdaptiveOptions& adaptive = options_.base.adaptive;
+  if (adaptive.policy == AdaptivePolicy::kPinned &&
+      adaptive.initial_state == ProcessorState::kLexRex) {
+    return;  // never probes approximately: no q-gram index is built
+  }
+  if (!shard_ptrs_[0]->core().needs_gram_order()) return;
+  assert(!ingest_inflight_);
+  join::GramOrderSampler sampler(options_.base.join.spec.qgram);
+  for (const RouteEntry& entry : route_) {
+    sampler.Add(entry.side, shard_ptrs_[entry.shard]->PendingJoinKey(
+                                entry.side, entry.local_id));
+  }
+  exchange_->SampleUnrouted(&sampler);
+  const std::shared_ptr<const text::GramOrder> order = sampler.Finish();
+  for (JoinShard* shard : shard_ptrs_) {
+    shard->mutable_core()->InstallGramOrder(order);
+  }
 }
 
 Status ParallelAdaptiveJoin::HandleEpochFault(Status error, int32_t shard,

@@ -328,6 +328,13 @@ class ParallelAdaptiveJoin : public exec::Operator,
   size_t num_shards() const { return shards_.size(); }
   const JoinShard& shard(size_t i) const { return *shards_[i]; }
   const ParallelJoinOptions& options() const { return options_; }
+  /// The gram order every shard's filtered q-gram indexes post and
+  /// probe under: the caller's, or the one derived from the input head
+  /// at the first epoch (null before then, and without filters). The
+  /// join owns a derived order; it dies with the join.
+  std::shared_ptr<const text::GramOrder> gram_order() const {
+    return shards_.empty() ? nullptr : shards_[0]->core().gram_order();
+  }
 
   /// Engine memory footprint right now: shard committed+staged tiers,
   /// exchange refill batches, prefetching children, and coordinator
@@ -407,6 +414,13 @@ class ParallelAdaptiveJoin : public exec::Operator,
   /// no rollback needed because nothing was published.
   Status HandleIngestFault(Status error, bool* stream_ended);
   /// @}
+
+  /// First routed epoch, before it begins: samples the input head
+  /// (the epoch's pending rows, then the exchange's unrouted resident
+  /// rows) into a gram order and installs it into every shard core —
+  /// before any q-gram insert, with no ingest task in flight, pulling
+  /// nothing. No-op when an order is in place or no filter is on.
+  void InstallDerivedGramOrder();
 
   /// Refills the output buffer by pumping epochs until output exists
   /// or the stream ends.

@@ -95,6 +95,16 @@ void JoinShard::DiscardStaged() {
   staged_meta_.clear();
 }
 
+std::string_view JoinShard::PendingJoinKey(exec::Side side,
+                                          storage::TupleId local_id) const {
+  const size_t s = static_cast<size_t>(side);
+  // The pending rows of a side are its last routed ids, in id order.
+  const size_t first_pending = seq_[s].size() - pending_rows_[s].size();
+  assert(local_id >= first_pending && local_id < seq_[s].size());
+  return pending_rows_[s].StringAt(spec_.column(side),
+                                   local_id - first_pending);
+}
+
 void JoinShard::DiscardPending() {
   size_t dropped[2] = {0, 0};
   for (const RoutedRow& routed : pending_meta_) {

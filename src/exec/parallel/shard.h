@@ -3,6 +3,7 @@
 
 #include <cassert>
 #include <cstdint>
+#include <string_view>
 #include <vector>
 
 #include "adaptive/state.h"
@@ -96,6 +97,12 @@ class JoinShard {
   /// Swaps the routed rows in as the current epoch's input and clears
   /// the per-epoch output buffers.
   void BeginEpoch();
+
+  /// Join key of a routed-but-unprocessed row of `side`, addressed by
+  /// the shard-local id it will occupy (the row is in the pending
+  /// tier; valid until the next BeginEpoch/DiscardPending).
+  std::string_view PendingJoinKey(exec::Side side,
+                                  storage::TupleId local_id) const;
 
   /// Drops every routed-but-unprocessed row (a mid-epoch routing
   /// failure abandons the epoch): clears the pending batches and pops

@@ -6,9 +6,9 @@ namespace aqp {
 namespace join {
 
 Status ApproxFilterOptions::Validate() const {
-  // Every combination of the three switches is sound on its own; the
-  // gram order is optional (null = gram-key order). Nothing to reject
-  // yet — the hook exists so future knobs fail loudly in JoinSpec
+  // Every combination of the three switches is sound on its own, under
+  // any gram order (a null one is derived by the engine). Nothing to
+  // reject yet — the hook exists so future knobs fail loudly in JoinSpec
   // validation rather than deep inside a probe.
   return Status::OK();
 }
@@ -131,6 +131,14 @@ bool PositionalCompatible(size_t probe_size, size_t probe_pos,
   const size_t probe_remaining = probe_size - probe_pos - 1;
   const size_t stored_remaining = stored_size - stored_pos - 1;
   return 1 + std::min(probe_remaining, stored_remaining) >= required_overlap;
+}
+
+bool GramOrderSampler::Add(exec::Side side, std::string_view key) {
+  size_t& sampled = sampled_[static_cast<size_t>(side)];
+  if (sampled >= kKeysPerSide) return false;
+  order_->AddSample(key, options_);
+  ++sampled;
+  return true;
 }
 
 }  // namespace join

@@ -6,8 +6,10 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "common/status.h"
+#include "exec/operator.h"
 #include "text/gram_order.h"
 #include "text/similarity.h"
 
@@ -34,16 +36,31 @@ namespace join {
 ///    stored tuple's ordered gram list; a candidate whose position gap
 ///    already caps the achievable overlap below the pair's required
 ///    overlap is rejected at discovery time.
+///
+/// A default-constructed value enables nothing: that is the paper's
+/// unfiltered walk, kept as the parity reference and selected only
+/// explicitly. JoinSpec::filter defaults to Full().
 struct ApproxFilterOptions {
   bool length = false;
   bool prefix = false;
   bool positional = false;
 
-  /// The fixed global gram order shared by index and probes (prefix/
-  /// positional filtering). Null = plain gram-key order, which is
-  /// always sound; sampling real input into a text::GramOrder makes
-  /// the prefixes rare and the posting lists short.
+  /// The fixed global gram order shared by index and probes. A caller-
+  /// supplied order is used as given. Left null, the engines derive
+  /// one from the head of the input before the first q-gram insert
+  /// (see GramOrderSampler) and keep it with the running join, never
+  /// in these options; only a bare HybridJoinCore or QGramIndex that
+  /// nobody installs an order into falls back to plain gram-key order.
+  /// Every order is exact; a sampled one makes the prefixes rare and
+  /// the posting lists short.
   std::shared_ptr<const text::GramOrder> gram_order;
+
+  /// The full stack: length + prefix + positional.
+  static ApproxFilterOptions Full() {
+    ApproxFilterOptions filter;
+    filter.length = filter.prefix = filter.positional = true;
+    return filter;
+  }
 
   /// True iff any filter is enabled (selects the filtered probe kernel
   /// and the payload posting layout).
@@ -114,6 +131,44 @@ std::optional<size_t> MinPairOverlap(text::SimilarityMeasure measure,
 bool PositionalCompatible(size_t probe_size, size_t probe_pos,
                           size_t stored_size, size_t stored_pos,
                           size_t required_overlap);
+
+/// \brief Derives the gram order of a filtered join whose caller
+/// supplied none: the sampled gram frequencies of the first
+/// kKeysPerSide join keys read from each input.
+///
+/// The engines feed it only rows they have already pulled from their
+/// children, per side in read order, and install the result into every
+/// HybridJoinCore before the first q-gram insert — so sampling moves
+/// no source read, and the order is frozen before anything is posted
+/// under it. Output and adaptation traces do not depend on the sample
+/// (every frozen order is exact); only probe work does.
+class GramOrderSampler {
+ public:
+  /// Join keys sampled per input.
+  static constexpr size_t kKeysPerSide = 256;
+
+  explicit GramOrderSampler(const text::QGramOptions& options)
+      : options_(options), order_(std::make_shared<text::GramOrder>()) {}
+
+  /// Samples `key` as the next key read from `side`. Returns false,
+  /// sampling nothing, once that side already holds kKeysPerSide keys.
+  bool Add(exec::Side side, std::string_view key);
+
+  /// Keys sampled from `side` so far.
+  size_t sampled(exec::Side side) const {
+    return sampled_[static_cast<size_t>(side)];
+  }
+
+  /// Hands over the frozen order; the sampler is spent afterwards.
+  std::shared_ptr<const text::GramOrder> Finish() {
+    return std::move(order_);
+  }
+
+ private:
+  text::QGramOptions options_;
+  std::shared_ptr<text::GramOrder> order_;
+  size_t sampled_[2] = {0, 0};
+};
 
 }  // namespace join
 }  // namespace aqp

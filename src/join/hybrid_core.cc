@@ -20,8 +20,8 @@ HybridJoinCore::HybridJoinCore(const JoinSpec& spec,
       exact_{},
       // The indexes adopt the spec's filter stack: with filters on they
       // keep payload (prefix/positional) postings, and every probe —
-      // including the parallel shards' cross-probes, which route
-      // through the same spec — runs the filtered kernel against them.
+      // including the parallel shards' cross-probes — runs the filtered
+      // kernel against them, under the order the index holds.
       qgram_{QGramIndex(spec.qgram, spec.filter, spec.measure,
                         spec.sim_threshold),
              QGramIndex(spec.qgram, spec.filter, spec.measure,

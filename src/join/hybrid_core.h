@@ -2,6 +2,7 @@
 #define AQP_JOIN_HYBRID_CORE_H_
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "join/exact_index.h"
@@ -108,6 +109,29 @@ class HybridJoinCore {
   /// opposite side's newly live index; returns the number of tuples
   /// inserted during catch-up (0 when the mode is unchanged).
   size_t SetProbeMode(Side side, ProbeMode mode);
+
+  /// True iff the q-gram indexes keep filtered (payload) postings but
+  /// no gram order was supplied or installed yet: the owning engine
+  /// derives one (GramOrderSampler) before the first q-gram insert.
+  bool needs_gram_order() const {
+    return qgram_[0].payload_mode() &&
+           qgram_[0].filter().gram_order == nullptr;
+  }
+
+  /// Installs `order` into both q-gram indexes. Only before either has
+  /// indexed a tuple (asserted — the order must be frozen first). The
+  /// core keeps the order for its own lifetime; the spec it was built
+  /// from is left untouched.
+  void InstallGramOrder(const std::shared_ptr<const text::GramOrder>& order) {
+    qgram_[0].SetGramOrder(order);
+    qgram_[1].SetGramOrder(order);
+  }
+
+  /// The gram order the filtered indexes post and probe under (null
+  /// without filters, or before one is installed).
+  const std::shared_ptr<const text::GramOrder>& gram_order() const {
+    return qgram_[0].filter().gram_order;
+  }
 
   /// Reserves store and q-gram-index capacity for the expected input
   /// cardinalities (0 = unknown); the operator wrappers pass their

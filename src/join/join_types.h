@@ -37,9 +37,12 @@ struct JoinSpec {
 
   /// Candidate filter stack for approximate probes (length / prefix /
   /// positional). All filters are exact — they change probe cost, not
-  /// the match set — and default off, reproducing the paper's plain
-  /// counted-candidate walk.
-  ApproxFilterOptions filter;
+  /// the match set or the adaptation trace — and the full stack is on
+  /// by default, under a gram order the engine derives from the head
+  /// of the input unless the caller supplies one (see
+  /// ApproxFilterOptions::gram_order). The paper's unfiltered
+  /// counted-candidate walk is `ApproxFilterOptions{}`.
+  ApproxFilterOptions filter = ApproxFilterOptions::Full();
 
   /// Join column for a given side.
   size_t column(Side side) const {

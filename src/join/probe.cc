@@ -46,7 +46,9 @@ void FilteredProbe(const QGramIndex& index, const storage::TupleStore& store,
                    Side probe_side, storage::TupleId probe_id,
                    ApproxProbeScratch& work, ApproxProbeStats* stats,
                    std::vector<JoinMatch>* out) {
-  const ApproxFilterOptions& filter = spec.filter;
+  // The index's filter config, gram order included: both sides of the
+  // prefix argument must use the order the index posted under.
+  const ApproxFilterOptions& filter = index.filter();
   const size_t g = probe_grams.size();
   const size_t k =
       text::MinOverlapForThreshold(spec.measure, g, spec.sim_threshold);
@@ -216,8 +218,12 @@ size_t ProbeApproximateInto(const QGramIndex& index,
                             ApproxProbeScratch* scratch,
                             ApproxProbeStats* stats,
                             std::vector<JoinMatch>* out) {
-  assert(index.payload_mode() == spec.filter.any() &&
-         "index posting layout must match the spec's filter config");
+  // The index's layout selects the kernel; its prefixes were cut at
+  // its own measure and threshold, which must be the probe's.
+  assert((!index.payload_mode() ||
+          (index.measure() == spec.measure &&
+           index.sim_threshold() == spec.sim_threshold)) &&
+         "filtered index built for a different similarity predicate");
   const size_t out_begin = out->size();
   if (stats != nullptr) stats->grams += probe_grams.size();
 
@@ -240,7 +246,7 @@ size_t ProbeApproximateInto(const QGramIndex& index,
   ApproxProbeScratch local;
   ApproxProbeScratch& work = scratch != nullptr ? *scratch : local;
 
-  if (spec.filter.any()) {
+  if (index.payload_mode()) {
     FilteredProbe(index, store, probe_key, probe_grams, spec, probe_side,
                   probe_id, work, stats, out);
   } else {

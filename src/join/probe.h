@@ -124,17 +124,19 @@ std::vector<JoinMatch> ProbeExact(const ExactIndex& index,
 /// bytewise equal are flagged kExact (similarity 1.0), the rest
 /// kApproximate.
 ///
-/// When `spec.filter` enables any filter, the probe runs the filtered
-/// kernel instead: probe grams are scanned ascending in the filter's
-/// fixed global gram order, out-of-band candidates are length-skipped
-/// before touching T(t), positionally hopeless candidates are rejected
-/// at discovery, and with prefix indexing only the probe's g-k+1
-/// prefix grams are scanned (candidates then verified by exact gram-
-/// set intersection). The index must have been built with the same
-/// filter configuration (checked by assert). The match set, match
-/// order, similarity values, and kinds are byte-identical to the
-/// unfiltered kernel — filters change cost, never results. The legacy
-/// ablation knobs in `options` apply to the unfiltered kernel only.
+/// When the index was built with a filter (payload layout), the probe
+/// runs the filtered kernel instead, under the index's filter config
+/// and gram order: probe grams are scanned ascending in that fixed
+/// global order, out-of-band candidates are length-skipped before
+/// touching T(t), positionally hopeless candidates are rejected at
+/// discovery, and with prefix indexing only the probe's g-k+1 prefix
+/// grams are scanned (candidates then verified by exact gram-set
+/// intersection). `spec` supplies the similarity predicate, which must
+/// be the one the index cut its prefixes at (checked by assert). The
+/// match set, match order, similarity values, and kinds are
+/// byte-identical to the unfiltered kernel — filters change cost,
+/// never results. The legacy ablation knobs in `options` apply to the
+/// unfiltered kernel only.
 ///
 /// `probe_grams` is the probe key's gram set — for stored probing
 /// tuples it comes straight from the store's gram cache, so neither

@@ -1,7 +1,9 @@
 #ifndef AQP_JOIN_QGRAM_INDEX_H_
 #define AQP_JOIN_QGRAM_INDEX_H_
 
+#include <cassert>
 #include <cstdint>
+#include <memory>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -82,8 +84,22 @@ class QGramIndex {
   /// True iff the index stores payload postings (some filter enabled).
   bool payload_mode() const { return filter_.any(); }
 
-  /// The filter configuration this index was built for.
+  /// The filter configuration this index was built for (gram order
+  /// included, once installed).
   const ApproxFilterOptions& filter() const { return filter_; }
+
+  /// Similarity measure and threshold fixing each tuple's prefix
+  /// length (payload layout).
+  text::SimilarityMeasure measure() const { return measure_; }
+  double sim_threshold() const { return sim_threshold_; }
+
+  /// Installs the global gram order postings are ordered under. Only
+  /// before the first insert (asserted): a tuple posted under one
+  /// order and probed under another would break the prefix argument.
+  void SetGramOrder(std::shared_ptr<const text::GramOrder> order) {
+    assert(watermark_ == 0 && "gram order must be frozen before inserts");
+    filter_.gram_order = std::move(order);
+  }
 
   /// Frequency of a gram: number of posting entries for it. With
   /// prefix filtering this counts *posted* (prefix) occurrences, which

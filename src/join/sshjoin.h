@@ -19,11 +19,12 @@ namespace join {
 /// cost `C`).
 ///
 /// The SSJoin-lineage filter stack (length / prefix / positional, see
-/// join/filter.h) is enabled through `options.spec.filter`; the
+/// join/filter.h) is on by default through `options.spec.filter`; the
 /// operand indexes then keep prefix payload postings and every probe
 /// runs the filtered kernel. All filters are exact, so the output and
 /// any adaptation trace built on it are byte-identical to the
-/// unfiltered operator — only candidate-generation cost changes.
+/// unfiltered operator (`spec.filter = ApproxFilterOptions{}`) — only
+/// candidate-generation cost changes.
 class SSHJoin : public SymmetricJoin {
  public:
   SSHJoin(exec::Operator* left, exec::Operator* right,

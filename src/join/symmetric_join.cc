@@ -47,8 +47,41 @@ Status SymmetricJoin::Open() {
   for (size_t i = 0; i < 2; ++i) {
     input_batch_[i].Reset(nullptr, options_.batch_size);
     input_pos_[i] = 0;
+    input_base_[i] = core_.store(static_cast<exec::Side>(i)).size();
   }
   return Status::OK();
+}
+
+size_t SymmetricJoin::SetProbeMode(exec::Side side, ProbeMode mode) {
+  // The catch-up posts the other side's stored tuples into its q-gram
+  // index, possibly the core's first q-gram insert. With nothing stored
+  // yet it posts nothing, and the step path freezes the order once
+  // rows have been pulled.
+  if (mode == ProbeMode::kApproximate &&
+      core_.store(exec::OtherSide(side)).size() > 0) {
+    InstallDerivedGramOrder();
+  }
+  return core_.SetProbeMode(side, mode);
+}
+
+void SymmetricJoin::InstallDerivedGramOrder() {
+  if (!core_.needs_gram_order()) return;
+  GramOrderSampler sampler(options_.spec.qgram);
+  for (exec::Side side : {exec::Side::kLeft, exec::Side::kRight}) {
+    const size_t i = static_cast<size_t>(side);
+    const storage::TupleStore& store = core_.store(side);
+    bool more = true;
+    for (size_t id = 0; more && id < store.size(); ++id) {
+      more = sampler.Add(side,
+                         store.JoinKey(static_cast<storage::TupleId>(id)));
+    }
+    const size_t column = options_.spec.column(side);
+    for (size_t row = store.size() - input_base_[i];
+         more && row < input_batch_[i].size(); ++row) {
+      more = sampler.Add(side, input_batch_[i].StringAt(column, row));
+    }
+  }
+  core_.InstallGramOrder(sampler.Finish());
 }
 
 storage::Tuple SymmetricJoin::MaterializeRow(const MatchRef& ref) const {
@@ -95,6 +128,7 @@ Status SymmetricJoin::RefillInput(exec::Side side) {
   exec::Operator* input = side == exec::Side::kLeft ? left_ : right_;
   input_batch_[i].Reset(&input->output_schema(), options_.batch_size);
   input_pos_[i] = 0;
+  input_base_[i] = core_.store(side).size();
   // Child time is excluded from the step-batch clock (see
   // RunStepBatch): the §4.3 weight calibration prices join work, not
   // the children.
@@ -145,6 +179,13 @@ Result<bool> SymmetricJoin::StepOnce(MatchBatch* out) {
   if (!pulled.ok()) return pulled.status();
   if (!*pulled) return false;
   scheduler_.OnRead(side);
+  if (core_.needs_gram_order() &&
+      core_.probe_mode(exec::OtherSide(side)) == ProbeMode::kApproximate) {
+    // This step posts the core's first q-gram entry (the side's index
+    // is live for the other side's approximate probes): freeze the
+    // order now, from what has been pulled, this row included.
+    InstallDerivedGramOrder();
+  }
   match_scratch_.clear();
   core_.ProcessRowInto(side, input_batch_[static_cast<size_t>(side)], row,
                        &match_scratch_);

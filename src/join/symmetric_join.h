@@ -180,8 +180,12 @@ class SymmetricJoin : public exec::Operator, public exec::UnmaterializedCounter 
   /// Called after each step batch with its aggregated observables.
   virtual void OnBatchCompleted(const StepBatchStats& batch) { (void)batch; }
 
-  /// Mutable core access for subclasses (responder switches).
-  HybridJoinCore* mutable_core() { return &core_; }
+  /// Changes how tuples read from `side` probe (responder switches)
+  /// and returns the catch-up count, as HybridJoinCore::SetProbeMode.
+  /// A switch to approximate probing that catches up stored tuples
+  /// first freezes the derived gram order, since the catch-up may be
+  /// the core's first q-gram insert.
+  size_t SetProbeMode(exec::Side side, ProbeMode mode);
 
  private:
   /// Writes one ref's output cells into `out` (shared body of the
@@ -205,6 +209,16 @@ class SymmetricJoin : public exec::Operator, public exec::UnmaterializedCounter 
   /// erased once the call succeeds), so no produced ref is ever lost.
   template <typename Batch>
   Status FillBatch(Batch* out);
+
+  /// Derives the gram order of a filtered join whose caller supplied
+  /// none and installs it into the core (no-op when an order is
+  /// already in place or no filter is on). Samples the first
+  /// GramOrderSampler::kKeysPerSide keys of each side among the rows
+  /// already pulled — stored tuples, then the unstored tail of the
+  /// resident input batch — so it never reads a child. Runs before the
+  /// core's first q-gram insert: a step about to post into a q-gram
+  /// index, or a switch to approximate probing.
+  void InstallDerivedGramOrder();
 
   /// Refills `side`'s input buffer with the child's next columnar
   /// batch and precomputes the join-key hash lane over it.
@@ -241,6 +255,10 @@ class SymmetricJoin : public exec::Operator, public exec::UnmaterializedCounter 
   /// into the store), so nothing is ever moved out of them.
   storage::ColumnBatch input_batch_[2];
   size_t input_pos_[2] = {0, 0};
+  /// Store id the resident batch's row 0 receives (the side's store
+  /// size at refill): rows from store.size() - input_base_ on are
+  /// pulled but not stored yet.
+  size_t input_base_[2] = {0, 0};
   /// Left input arity (output column offset of the right fields).
   size_t left_width_ = 0;
   /// Scratch reused across steps (cleared per step, capacity kept).

@@ -509,6 +509,7 @@ void LinkageService::Finish(QueryRecord* q, QueryState state, Status status) {
     stats.memory_bytes = q->join->memory_bytes();
     stats.peak_memory_bytes =
         std::max(q->join->peak_memory_bytes(), stats.memory_bytes);
+    stats.gram_order = q->join->gram_order();
     // The join's shard stores hold every ingested input row; a
     // long-lived service must not retain them past the query's end
     // (the result is already materialized, the stats just harvested).

@@ -3,12 +3,14 @@
 
 #include <chrono>
 #include <cstdint>
+#include <memory>
 #include <optional>
 
 #include "adaptive/state.h"
 #include "common/status.h"
 #include "exec/parallel/parallel_join.h"
 #include "service/resource_governor.h"
+#include "text/gram_order.h"
 
 namespace aqp {
 namespace service {
@@ -165,6 +167,11 @@ struct QueryStats {
   /// Executions of the query (1 + retries actually performed).
   uint64_t attempts = 1;
   uint64_t retries = 0;
+  /// The gram order the query's filtered probes ran under (see
+  /// ParallelAdaptiveJoin::gram_order). Weak: a derived order belongs
+  /// to the query's join and is gone once the query is terminal —
+  /// expired() then proves the service kept nothing per query.
+  std::weak_ptr<const text::GramOrder> gram_order;
   /// Set when memory governance or the watchdog cut the run short:
   /// which site acted (query.hard_budget / global.high_water /
   /// watchdog.stall), against which bound, at what peak.

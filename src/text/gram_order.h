@@ -24,10 +24,12 @@ namespace text {
 ///
 /// An order is (frequency, key) ascending: grams not seen while
 /// sampling have frequency 0, so a default-constructed order degrades
-/// to plain gram-key order — always sound, no setup required. Sampling
-/// representative input (AddSample) makes the prefix grams the *rare*
-/// grams, which is what keeps posting lists short; the order stays
-/// exact either way, only probe cost changes.
+/// to plain gram-key order — always sound, but it lets common grams
+/// into every prefix. Sampling representative input (AddSample) makes
+/// the prefix grams the *rare* grams, which is what keeps posting lists
+/// short; the order stays exact either way, only probe cost changes.
+/// The join engines sample the head of their own input when the caller
+/// supplies no order (join::GramOrderSampler).
 class GramOrder {
  public:
   /// Pure gram-key order (every frequency 0).
@@ -61,6 +63,11 @@ class GramOrder {
 
   /// Distinct grams with a nonzero sampled frequency.
   size_t distinct() const { return freq_.size(); }
+
+  /// Two orders are equal iff their sampled frequency tables are.
+  bool operator==(const GramOrder& other) const {
+    return freq_ == other.freq_;
+  }
 
  private:
   std::unordered_map<GramKey, uint64_t> freq_;

@@ -1,8 +1,10 @@
 // The filter stack (length / prefix / positional, §2.2's SSJoin
 // lineage) must be invisible in everything but cost: for every filter
-// combination the adaptive join must produce byte-identical output
-// rows in identical order AND a byte-identical MAR adaptation trace,
-// across batch sizes and shard counts. The exactness arguments live in
+// combination — and for the default options, which run the full stack
+// under a gram order the engine derives from the input head — the
+// adaptive join must produce byte-identical output rows in identical
+// order AND a byte-identical MAR adaptation trace against the
+// explicitly unfiltered baseline, across batch sizes and shard counts. The exactness arguments live in
 // join/filter.h; this suite is the end-to-end proof on the paper
 // scenario — which must actually adapt, or the parity claim is
 // vacuous.
@@ -39,9 +41,12 @@ datagen::TestCase PaperCase() {
   return std::move(*tc);
 }
 
+/// The explicitly unfiltered baseline configuration (the paper's plain
+/// counted-candidate walk); tests switch filters on from here.
 AdaptiveJoinOptions BaseOptions(const datagen::TestCase& tc,
                                 size_t batch_size = 64) {
   AdaptiveJoinOptions options;
+  options.join.spec.filter = join::ApproxFilterOptions{};
   options.join.spec.left_column = datagen::kAccidentsLocationColumn;
   options.join.spec.right_column = datagen::kAtlasLocationColumn;
   options.join.spec.sim_threshold = 0.85;
@@ -71,6 +76,8 @@ struct ReferenceRun {
   uint64_t steps = 0;
   uint64_t pairs = 0;
   uint64_t transitions = 0;
+  /// The gram order the run's filtered indexes used.
+  std::shared_ptr<const text::GramOrder> order;
 };
 
 ReferenceRun RunAdaptive(const datagen::TestCase& tc,
@@ -86,6 +93,27 @@ ReferenceRun RunAdaptive(const datagen::TestCase& tc,
   run.steps = join.steps();
   run.pairs = join.core().pairs_emitted();
   run.transitions = join.cost().total_transitions();
+  run.order = join.core().gram_order();
+  return run;
+}
+
+ReferenceRun RunParallel(const datagen::TestCase& tc,
+                         AdaptiveJoinOptions base, size_t shards) {
+  exec::RelationScan child(&tc.child);
+  exec::RelationScan parent(&tc.parent);
+  ParallelJoinOptions options;
+  options.base = std::move(base);
+  options.num_shards = shards;
+  ParallelAdaptiveJoin join(&child, &parent, options);
+  auto result = exec::CollectAll(&join);
+  EXPECT_TRUE(result.ok()) << result.status().ToString();
+  ReferenceRun run;
+  run.result = std::move(*result);
+  run.trace = join.trace();
+  run.steps = join.steps();
+  run.pairs = join.pairs_emitted();
+  run.transitions = join.cost().total_transitions();
+  run.order = join.gram_order();
   return run;
 }
 
@@ -198,6 +226,69 @@ TEST(FilterParityTest, SampledGramOrderPreservesParity) {
   EXPECT_EQ(filtered.pairs, reference.pairs);
   ExpectSameRows(filtered.result, reference.result);
   ExpectSameTrace(filtered.trace, reference.trace);
+}
+
+/// The default JoinSpec::filter: the full stack with no caller order.
+join::ApproxFilterOptions DefaultFilter() { return join::JoinSpec().filter; }
+
+void ExpectParity(const ReferenceRun& actual, const ReferenceRun& expected) {
+  EXPECT_EQ(actual.steps, expected.steps);
+  EXPECT_EQ(actual.pairs, expected.pairs);
+  EXPECT_EQ(actual.transitions, expected.transitions);
+  ExpectSameRows(actual.result, expected.result);
+  ExpectSameTrace(actual.trace, expected.trace);
+}
+
+/// Runs `options_for(batch_size)` unfiltered (tuple-at-a-time) as the
+/// reference, then with the default filter options at batch sizes
+/// {1, 7, 256} on the single-threaded engine and at 1, 2 and 4 shards.
+template <typename OptionsFor>
+void ExpectDefaultOptionsMatchUnfiltered(const datagen::TestCase& tc,
+                                         OptionsFor options_for) {
+  const ReferenceRun reference = RunAdaptive(tc, options_for(1));
+  ASSERT_GT(reference.pairs, 0u);
+  ASSERT_EQ(reference.order, nullptr);
+  for (size_t batch_size : {size_t{1}, size_t{7}, size_t{256}}) {
+    AdaptiveJoinOptions options = options_for(batch_size);
+    options.join.spec.filter = DefaultFilter();
+    {
+      SCOPED_TRACE(testing::Message()
+                   << "single-threaded batch_size=" << batch_size);
+      const ReferenceRun run = RunAdaptive(tc, options);
+      ASSERT_NE(run.order, nullptr);
+      ExpectParity(run, reference);
+    }
+    for (size_t shards : {size_t{1}, size_t{2}, size_t{4}}) {
+      SCOPED_TRACE(testing::Message() << "batch_size=" << batch_size
+                                      << " shards=" << shards);
+      const ReferenceRun run = RunParallel(tc, options, shards);
+      ASSERT_NE(run.order, nullptr);
+      ExpectParity(run, reference);
+    }
+  }
+}
+
+TEST(FilterParityTest, DefaultOptionsMatchUnfilteredAcrossBatchesAndShards) {
+  ASSERT_TRUE(DefaultFilter().any());
+  ASSERT_EQ(DefaultFilter().gram_order, nullptr);
+  const datagen::TestCase tc = PaperCase();
+  ASSERT_GT(RunAdaptive(tc, BaseOptions(tc)).transitions, 0u);
+  ExpectDefaultOptionsMatchUnfiltered(tc, [&tc](size_t batch_size) {
+    return BaseOptions(tc, batch_size);
+  });
+}
+
+TEST(FilterParityTest, DefaultOptionsMatchUnfilteredPinnedApproximate) {
+  // Both inputs probe approximately from step 0, so the first q-gram
+  // insert is the first stored tuple: the order is frozen before any
+  // tuple is stored, from the rows pulled so far.
+  const datagen::TestCase tc = PaperCase();
+  ExpectDefaultOptionsMatchUnfiltered(tc, [&tc](size_t batch_size) {
+    AdaptiveJoinOptions options = BaseOptions(tc, batch_size);
+    options.adaptive.policy = adaptive::AdaptivePolicy::kPinned;
+    options.adaptive.initial_state = adaptive::ProcessorState::kLapRap;
+    return options;
+  });
 }
 
 }  // namespace

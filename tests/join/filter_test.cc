@@ -10,6 +10,7 @@
 
 #include <algorithm>
 
+#include "join/join_types.h"
 #include "text/gram_order.h"
 #include "text/similarity.h"
 
@@ -150,6 +151,15 @@ TEST(FilterOptionsTest, LabelsAndAny) {
   filter.positional = true;
   EXPECT_EQ(filter.Label(), "length+prefix+positional");
   EXPECT_TRUE(filter.Validate().ok());
+}
+
+TEST(FilterOptionsTest, JoinSpecDefaultsToTheFullStackWithoutAnOrder) {
+  const JoinSpec spec;
+  EXPECT_EQ(spec.filter.Label(), "length+prefix+positional");
+  EXPECT_EQ(ApproxFilterOptions::Full().Label(), spec.filter.Label());
+  // No order in the options: the engine derives one per run.
+  EXPECT_EQ(spec.filter.gram_order, nullptr);
+  EXPECT_TRUE(spec.Validate().ok());
 }
 
 TEST(GramOrderTest, DefaultIsKeyOrder) {

@@ -23,6 +23,9 @@ JoinSpec Spec(double threshold = 0.8) {
   spec.left_column = 0;
   spec.right_column = 0;
   spec.sim_threshold = threshold;
+  // The unfiltered kernel, explicitly: the plain fixtures below and the
+  // probe counters the tests assert belong to it.
+  spec.filter = ApproxFilterOptions{};
   return spec;
 }
 

@@ -19,6 +19,9 @@ using storage::Value;
 JoinSpec Spec() {
   JoinSpec spec;
   spec.sim_threshold = 0.8;
+  // The unfiltered (plain-posting) layout, explicitly: the fresh index
+  // the caught-up one is compared against posts every gram.
+  spec.filter = ApproxFilterOptions{};
   return spec;
 }
 

@@ -10,6 +10,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -192,6 +193,40 @@ TEST(LinkageServiceTest, HardStepDeadlineFinalizesEarlyWithCompleteness) {
   EXPECT_GT(stats->completeness.expected_matches, 0.0);
   EXPECT_GE(stats->completeness.ratio, 0.0);
   EXPECT_LE(stats->completeness.ratio, 1.0);
+}
+
+TEST(LinkageServiceTest, DerivedGramOrderDiesWithTheQuery) {
+  // Default options run the filter stack under a gram order the engine
+  // derives per query. It belongs to the query's join, not to the
+  // QueryOptions the service keeps for its whole life, so it must be
+  // gone once the query is terminal.
+  const datagen::TestCase& tc = PaperCase();
+  ServiceOptions so;
+  so.worker_threads = 1;
+  so.admission.max_concurrent_queries = 1;
+  so.admission.max_total_shards = 2;
+  LinkageService service(so);
+
+  exec::RelationScan child(&tc.child);
+  exec::RelationScan parent(&tc.parent);
+  QueryOptions qo;
+  qo.join = BaseJoinOptions(tc);
+  ASSERT_TRUE(qo.join.base.join.spec.filter.any());
+  ASSERT_EQ(qo.join.base.join.spec.filter.gram_order, nullptr);
+  auto id = service.Submit(&child, &parent, qo);
+  ASSERT_TRUE(id.ok());
+  auto stats = service.Wait(*id);
+  ASSERT_TRUE(stats.ok());
+  EXPECT_EQ(stats->state, QueryState::kDone) << stats->status.ToString();
+  // The query did derive an order (the weak_ptr was bound)...
+  const std::weak_ptr<const text::GramOrder> unbound;
+  EXPECT_TRUE(stats->gram_order.owner_before(unbound) ||
+              unbound.owner_before(stats->gram_order));
+  // ...and nothing holds it any more.
+  EXPECT_TRUE(stats->gram_order.expired());
+  auto result = service.TakeResult(*id);
+  ASSERT_TRUE(result.ok());
+  ExpectSameRows(*result, SoloRun(tc, BaseJoinOptions(tc)));
 }
 
 TEST(LinkageServiceTest, ImmediateWallClockHardDeadlineYieldsEmptyResult) {
