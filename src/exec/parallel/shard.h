@@ -217,7 +217,7 @@ class JoinShard {
   /// the task-group wait, may read it).
   /// @{
   /// Core stores/indexes + pending/epoch tiers + routing maps + phase
-  /// output buffers.
+  /// output buffers + both probe scratches.
   uint64_t CommittedMemoryUsage() const;
   /// The route-ahead staged tier only.
   uint64_t StagedMemoryUsage() const;

@@ -30,8 +30,9 @@ namespace join {
 ///  - `prefix`: the index posts each stored tuple only under its
 ///    g-k+1 prefix grams in a fixed global gram order, shrinking
 ///    posting lists and index memory (candidates are then verified by
-///    an exact gram-set intersection, since counters no longer see
-///    every shared gram);
+///    a gram-set intersection, since counters no longer see every
+///    shared gram; it stops early once the pair's MinPairOverlap is out
+///    of reach and is exact otherwise);
 ///  - `positional`: prefix postings carry the gram's position in the
 ///    stored tuple's ordered gram list; a candidate whose position gap
 ///    already caps the achievable overlap below the pair's required

@@ -178,7 +178,8 @@ class HybridJoinCore {
   /// Tuples inserted by all switch catch-ups so far.
   uint64_t catchup_tuples() const { return catchup_tuples_; }
 
-  /// Rough total heap footprint (stores + all four indexes).
+  /// Rough total heap footprint (stores, all four indexes, and the
+  /// approximate probe's scratch).
   size_t ApproximateMemoryUsage() const;
   /// @}
 

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <limits>
+#include <optional>
+#include <utility>
 
 #include "join/filter.h"
 #include "text/similarity.h"
@@ -18,6 +20,38 @@ namespace {
 /// verified) by later grams. Real counters never get near this value —
 /// they are bounded by the probe's gram count.
 constexpr uint32_t kRejectedSentinel = std::numeric_limits<uint32_t>::max();
+
+/// Bound-table value for a stored gram count that cannot reach the
+/// threshold even at full overlap (MinPairOverlap's nullopt).
+constexpr uint32_t kUnreachable = std::numeric_limits<uint32_t>::max();
+
+/// Readies the scratch for one probe of an index holding `watermark`
+/// tuples: T(t) covers every indexed id and is all-zero (a probe that
+/// threw midway may have left counters set), and the bound table is
+/// empty.
+void BeginProbe(ApproxProbeScratch& work, size_t watermark) {
+  for (storage::TupleId id : work.touched) work.counters[id] = 0;
+  work.touched.clear();
+  if (work.counters.size() < watermark) work.counters.resize(watermark, 0);
+  work.required.clear();
+}
+
+/// MinPairOverlap of a probe with `g` grams against a stored tuple with
+/// `stored_size` grams (kUnreachable for nullopt), computed once per
+/// stored size per probe: the bound table memoizes the same function
+/// at the same arguments, so every decision it feeds is unchanged.
+uint32_t RequiredOverlap(std::vector<uint32_t>& table, const JoinSpec& spec,
+                         size_t g, size_t stored_size) {
+  if (stored_size >= table.size()) table.resize(stored_size + 1, 0);
+  uint32_t& slot = table[stored_size];
+  if (slot == 0) {
+    const std::optional<size_t> required =
+        MinPairOverlap(spec.measure, g, stored_size, spec.sim_threshold);
+    slot = required.has_value() ? static_cast<uint32_t>(*required)
+                                : kUnreachable;
+  }
+  return slot;
+}
 
 /// Appends one verified match, deciding exact vs approximate by
 /// bytewise key equality — shared by both kernels so the emitted
@@ -74,9 +108,8 @@ void FilteredProbe(const QGramIndex& index, const storage::TupleStore& store,
     band.hi = std::numeric_limits<size_t>::max();
   }
 
-  auto& counters = work.counters;
-  counters.clear();
-  if (counters.bucket_count() == 0) counters.reserve(64);
+  uint32_t* const counters = work.counters.data();
+  auto& touched = work.touched;
 
   // Only the first g-k+1 grams may insert (§2.2's rule — identical to
   // the probe-side prefix length); with prefix indexing the remaining
@@ -93,9 +126,9 @@ void FilteredProbe(const QGramIndex& index, const storage::TupleStore& store,
     if (stats != nullptr) stats->postings_scanned += postings->size();
     const bool may_insert = i < insert_end;
     for (const GramPosting& posting : *postings) {
-      auto it = counters.find(posting.id);
-      if (it != counters.end()) {
-        if (it->second != kRejectedSentinel) ++it->second;
+      uint32_t& count = counters[posting.id];
+      if (count != 0) {
+        if (count != kRejectedSentinel) ++count;
         continue;
       }
       if (!may_insert) continue;
@@ -103,38 +136,51 @@ void FilteredProbe(const QGramIndex& index, const storage::TupleStore& store,
         if (stats != nullptr) ++stats->length_skipped;
         continue;
       }
+      touched.push_back(posting.id);
       if (filter.positional) {
         // First discovery of this candidate = the pair's smallest
         // shared gram in the global order (earlier shared grams would
         // have been scanned and posted — see filter.h), so the
         // remaining-suffix bound on the total overlap is valid here
         // and *stays* valid: rejection is permanent.
-        const std::optional<size_t> required = MinPairOverlap(
-            spec.measure, g, posting.gram_count, spec.sim_threshold);
-        if (!required.has_value() ||
+        const uint32_t required =
+            RequiredOverlap(work.required, spec, g, posting.gram_count);
+        if (required == kUnreachable ||
             !PositionalCompatible(g, i, posting.gram_count, posting.position,
-                                  *required)) {
-          counters.emplace(posting.id, kRejectedSentinel);
+                                  required)) {
+          count = kRejectedSentinel;
           ++rejected;
           if (stats != nullptr) ++stats->position_rejected;
           continue;
         }
       }
-      counters.emplace(posting.id, 1u);
+      count = 1;
     }
   }
-  if (stats != nullptr) stats->candidates += counters.size() - rejected;
+  if (stats != nullptr) stats->candidates += touched.size() - rejected;
 
+  // Verification walks T(t) in discovery order and zeroes each counter
+  // it reads, so the table is clean again when the probe returns.
   if (filter.prefix) {
     // Prefix postings undercount shared grams, so the counter cannot
-    // drive verification; intersect the gram sets instead. The overlap
-    // is the same integer the unfiltered counter would have reached,
-    // fed through the same coefficient — bytewise identical output.
-    for (const auto& [candidate, counter] : counters) {
-      if (counter == kRejectedSentinel) continue;
+    // drive verification; intersect the gram sets instead. A pair whose
+    // overlap stays below MinPairOverlap — by definition the smallest
+    // overlap reaching the threshold — cannot match, so the bounded
+    // intersection may give up on it; every other pair gets its exact
+    // overlap, fed through the same coefficient as the unfiltered
+    // counter would be — bytewise identical output.
+    for (storage::TupleId candidate : touched) {
+      if (std::exchange(counters[candidate], 0) == kRejectedSentinel) {
+        continue;
+      }
       if (stats != nullptr) ++stats->verified;
       const text::GramSet& candidate_grams = index.GramSetOf(candidate);
-      const size_t overlap = probe_grams.OverlapWith(candidate_grams);
+      const uint32_t required =
+          RequiredOverlap(work.required, spec, g, candidate_grams.size());
+      if (required == kUnreachable) continue;
+      const size_t overlap =
+          probe_grams.OverlapAtLeast(candidate_grams, required);
+      if (overlap < required) continue;
       const double sim = text::SetSimilarityFromOverlap(
           spec.measure, g, candidate_grams.size(), overlap);
       if (sim < spec.sim_threshold) continue;
@@ -144,7 +190,8 @@ void FilteredProbe(const QGramIndex& index, const storage::TupleStore& store,
   } else {
     // Every gram was scanned, so surviving counters hold the exact
     // overlap — verify exactly as the unfiltered kernel does.
-    for (const auto& [candidate, overlap] : counters) {
+    for (storage::TupleId candidate : touched) {
+      const uint32_t overlap = std::exchange(counters[candidate], 0);
       if (overlap == kRejectedSentinel) continue;
       if (overlap < k) continue;
       if (stats != nullptr) ++stats->verified;
@@ -159,19 +206,11 @@ void FilteredProbe(const QGramIndex& index, const storage::TupleStore& store,
 
 }  // namespace
 
-void ApproxProbeScratch::NoteProbeCompleted() {
-  peak_candidates = std::max(peak_candidates, counters.size());
-  if (++probes_since_shrink_check < kShrinkCheckInterval) return;
-  const size_t steady = std::max(kMinCounterBuckets, peak_candidates);
-  if (counters.bucket_count() > kShrinkFactor * steady) {
-    // Rebuild at steady-state size; swapping releases the oversized
-    // bucket table immediately.
-    std::unordered_map<storage::TupleId, uint32_t> fresh;
-    fresh.reserve(steady);
-    counters.swap(fresh);
-  }
-  probes_since_shrink_check = 0;
-  peak_candidates = 0;
+size_t ApproxProbeScratch::ApproximateMemoryUsage() const {
+  return ordered.capacity() * sizeof(ordered[0]) +
+         counters.capacity() * sizeof(uint32_t) +
+         touched.capacity() * sizeof(storage::TupleId) +
+         required.capacity() * sizeof(uint32_t);
 }
 
 void ApproxProbeStats::MergeFrom(const ApproxProbeStats& other) {
@@ -241,10 +280,11 @@ size_t ProbeApproximateInto(const QGramIndex& index,
   }
 
   // The probe's working memory: caller-provided scratch when available
-  // (cleared, capacity kept — steady-state probes allocate nothing),
+  // (reset, capacity kept — steady-state probes allocate nothing),
   // else probe-local.
   ApproxProbeScratch local;
   ApproxProbeScratch& work = scratch != nullptr ? *scratch : local;
+  BeginProbe(work, index.watermark());
 
   if (index.payload_mode()) {
     FilteredProbe(index, store, probe_key, probe_grams, spec, probe_side,
@@ -269,9 +309,8 @@ size_t ProbeApproximateInto(const QGramIndex& index,
     // T(t): candidate tuple -> number of shared grams seen so far. For
     // every candidate in T the final count equals the exact overlap,
     // because each shared gram either inserted it or incremented it.
-    auto& counters = work.counters;
-    counters.clear();
-    if (counters.bucket_count() == 0) counters.reserve(64);
+    uint32_t* const counters = work.counters.data();
+    auto& touched = work.touched;
     const size_t insert_phase_end =
         options.insert_phase_optimization && k <= g ? g - k + 1 : g;
     for (size_t i = 0; i < ordered.size(); ++i) {
@@ -281,21 +320,24 @@ size_t ProbeApproximateInto(const QGramIndex& index,
       if (stats != nullptr) stats->postings_scanned += postings->size();
       const bool may_insert = i < insert_phase_end;
       for (storage::TupleId candidate : *postings) {
-        if (may_insert) {
-          ++counters[candidate];
-        } else {
-          auto it = counters.find(candidate);
-          if (it != counters.end()) ++it->second;
+        uint32_t& count = counters[candidate];
+        if (count != 0) {
+          ++count;
+        } else if (may_insert) {
+          count = 1;
+          touched.push_back(candidate);
         }
       }
     }
-    if (stats != nullptr) stats->candidates += counters.size();
+    if (stats != nullptr) stats->candidates += touched.size();
 
     // Verification: the counter is the overlap; all four coefficients
     // are functions of (g, candidate gram-set size, overlap). The
     // candidate's gram-set size comes from the stored side's cache —
-    // no strings are touched unless equality must be decided.
-    for (const auto& [candidate, overlap] : counters) {
+    // no strings are touched unless equality must be decided. Each
+    // counter is zeroed as it is read.
+    for (storage::TupleId candidate : touched) {
+      const uint32_t overlap = std::exchange(counters[candidate], 0);
       if (overlap < k) continue;
       if (stats != nullptr) ++stats->verified;
       const size_t candidate_size = index.GramSetSize(candidate);
@@ -306,13 +348,15 @@ size_t ProbeApproximateInto(const QGramIndex& index,
                 stats, out);
     }
   }
-  // Deterministic output order (unordered_map iteration is not); only
-  // the region this probe appended is reordered.
+  // Both kernels zeroed every counter they set while verifying.
+  work.touched.clear();
+  // Deterministic output order: T(t) is walked in discovery order, and
+  // matches are reported by stored id. Only the region this probe
+  // appended is reordered.
   std::sort(out->begin() + static_cast<ptrdiff_t>(out_begin), out->end(),
             [](const JoinMatch& a, const JoinMatch& b) {
               return a.stored_id < b.stored_id;
             });
-  work.NoteProbeCompleted();
   return out->size() - out_begin;
 }
 

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <string_view>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -35,40 +34,30 @@ struct ApproxProbeOptions {
 /// One approximate probe needs a frequency-ordered gram list and the
 /// T(t) candidate counter table; both are cleared (capacity kept) and
 /// reused when the caller passes the same scratch to every probe, so
-/// steady-state probing allocates nothing. Owned by one single-threaded
-/// prober (e.g. a HybridJoinCore).
+/// steady-state probing neither hashes nor allocates. Owned by one
+/// single-threaded prober (e.g. a HybridJoinCore).
 ///
-/// The counter map would otherwise stay at its high-water bucket count
-/// forever — one pathologically wide probe early in a million-row
-/// sweep pins peak memory for the rest of the run. NoteProbeCompleted
-/// (called by the probe kernels after each probe) tracks the recent
-/// peak candidate count and rebuilds the map once its bucket table
-/// exceeds kShrinkFactor × that steady state.
+/// T(t) is dense: one counter per stored tuple of the probed index, so
+/// it costs 4 B per stored tuple and never more than the largest index
+/// the scratch has probed. Between probes every counter is 0.
 struct ApproxProbeScratch {
   /// (gram order rank, gram) pairs of the probe, sorted ascending. The
   /// rank is the live posting frequency in the unfiltered kernel
   /// ("reverse frequency order") and the fixed global-order frequency
   /// in the filtered kernel.
   std::vector<std::pair<size_t, text::GramKey>> ordered;
-  /// T(t): candidate tuple -> number of shared grams seen so far.
-  std::unordered_map<storage::TupleId, uint32_t> counters;
+  /// T(t), indexed by stored TupleId: 0 = not a candidate, n = n shared
+  /// grams seen so far, or the filtered kernel's rejected sentinel.
+  std::vector<uint32_t> counters;
+  /// Ids whose counter this probe made nonzero, in discovery order; the
+  /// probe resets exactly these before it returns.
+  std::vector<storage::TupleId> touched;
+  /// Filtered kernel: the probe's MinPairOverlap per stored gram count,
+  /// filled on first use within a probe (0 = not computed yet).
+  std::vector<uint32_t> required;
 
-  /// Shrink policy knobs: every kShrinkCheckInterval probes, rebuild
-  /// the counter map when its bucket count exceeds kShrinkFactor × the
-  /// interval's peak candidate count (but never below
-  /// kMinCounterBuckets).
-  static constexpr size_t kShrinkCheckInterval = 64;
-  static constexpr size_t kShrinkFactor = 8;
-  static constexpr size_t kMinCounterBuckets = 64;
-
-  /// Called by the probe kernels once the probe's counters are dead;
-  /// applies the shrink policy.
-  void NoteProbeCompleted();
-
-  /// Probes since the last shrink check.
-  size_t probes_since_shrink_check = 0;
-  /// Largest candidate count observed since the last shrink check.
-  size_t peak_candidates = 0;
+  /// Heap bytes held (capacities), for memory accounting.
+  size_t ApproximateMemoryUsage() const;
 };
 
 /// \brief Work counters for one approximate probe, feeding the Table 1
@@ -79,7 +68,9 @@ struct ApproxProbeStats {
   uint64_t candidates = 0;           ///< |T(t)| (positionally rejected
                                      ///< entries excluded)
   uint64_t verified = 0;             ///< candidates submitted to
-                                     ///< verification
+                                     ///< verification (merges the
+                                     ///< bounded intersection
+                                     ///< abandons included)
   uint64_t matches = 0;              ///< pairs passing the threshold
   uint64_t length_skipped = 0;       ///< posting entries pruned by the
                                      ///< length filter
@@ -130,8 +121,10 @@ std::vector<JoinMatch> ProbeExact(const ExactIndex& index,
 /// global order, out-of-band candidates are length-skipped before
 /// touching T(t), positionally hopeless candidates are rejected at
 /// discovery, and with prefix indexing only the probe's g-k+1 prefix
-/// grams are scanned (candidates then verified by exact gram-set
-/// intersection). `spec` supplies the similarity predicate, which must
+/// grams are scanned (candidates then verified by a gram-set
+/// intersection that gives up once the pair's minimum overlap is out
+/// of reach — such a pair cannot match, and every pair that can gets
+/// its exact overlap). `spec` supplies the similarity predicate, which must
 /// be the one the index cut its prefixes at (checked by assert). The
 /// match set, match order, similarity values, and kinds are
 /// byte-identical to the unfiltered kernel — filters change cost,

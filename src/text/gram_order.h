@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <string_view>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -42,12 +41,16 @@ class GramOrder {
   void AddSample(std::string_view s, const QGramOptions& options);
 
   /// Adds `count` observations of one gram (tests, precomputed tables).
-  void AddFrequency(GramKey key, uint64_t count) { freq_[key] += count; }
+  void AddFrequency(GramKey key, uint64_t count);
 
   /// Sampled frequency of a gram (0 if never seen).
   uint64_t FrequencyOf(GramKey key) const {
-    auto it = freq_.find(key);
-    return it == freq_.end() ? 0 : it->second;
+    if (size_ == 0) return 0;
+    for (size_t i = SlotOf(key);; i = (i + 1) & mask_) {
+      const Slot& slot = slots_[i];
+      if (slot.frequency == 0) return 0;
+      if (slot.key == key) return slot.frequency;
+    }
   }
 
   /// The sort key realizing the order: ascending (frequency, key) =
@@ -62,15 +65,37 @@ class GramOrder {
   }
 
   /// Distinct grams with a nonzero sampled frequency.
-  size_t distinct() const { return freq_.size(); }
+  size_t distinct() const { return size_; }
 
-  /// Two orders are equal iff their sampled frequency tables are.
-  bool operator==(const GramOrder& other) const {
-    return freq_ == other.freq_;
-  }
+  /// Two orders are equal iff their sampled frequency tables are
+  /// (however the samples were inserted).
+  bool operator==(const GramOrder& other) const;
 
  private:
-  std::unordered_map<GramKey, uint64_t> freq_;
+  /// One slot of the open-addressed frequency table; frequency 0 marks
+  /// an empty slot, so every gram key (0 included) is storable.
+  struct Slot {
+    GramKey key = 0;
+    uint64_t frequency = 0;
+  };
+
+  /// Home slot: Fibonacci hashing onto the power-of-two table. Only
+  /// valid while the table is non-empty.
+  size_t SlotOf(GramKey key) const {
+    return static_cast<size_t>((key * 0x9e3779b97f4a7c15ULL) >> shift_);
+  }
+
+  /// Doubles the table (or creates it) and reinserts every gram.
+  void Grow();
+
+  /// Linear probing over a power-of-two table kept at most half full,
+  /// so every probe sequence reaches an empty slot. Probes look up
+  /// every gram of every probe tuple, so the table is flat: no node
+  /// allocation and no pointer chase per lookup.
+  std::vector<Slot> slots_;
+  size_t size_ = 0;
+  size_t mask_ = 0;
+  unsigned shift_ = 64;
   std::vector<GramKey> scratch_;
 };
 

@@ -104,6 +104,35 @@ size_t GramSet::OverlapWith(const GramSet& other) const {
   return overlap;
 }
 
+size_t GramSet::OverlapAtLeast(const GramSet& other, size_t required) const {
+  const size_t na = grams_.size();
+  const size_t nb = other.grams_.size();
+  if (required > na || required > nb) return 0;
+  // overlap + (grams left on a side) starts at that side's size, is
+  // unchanged by a shared gram, and drops by one for each gram the side
+  // skips; once either side has skipped more than size - required
+  // grams, the overlap can no longer reach `required`.
+  size_t skips_a = na - required;
+  size_t skips_b = nb - required;
+  size_t i = 0, j = 0, overlap = 0;
+  while (i < na && j < nb) {
+    const GramKey a = grams_[i];
+    const GramKey b = other.grams_[j];
+    if (a == b) {
+      ++overlap;
+      ++i;
+      ++j;
+    } else if (a < b) {
+      if (skips_a-- == 0) return overlap;
+      ++i;
+    } else {
+      if (skips_b-- == 0) return overlap;
+      ++j;
+    }
+  }
+  return overlap;
+}
+
 std::string GramKeyToString(GramKey key, int q) {
   std::string out(static_cast<size_t>(q), '\0');
   for (int i = q - 1; i >= 0; --i) {

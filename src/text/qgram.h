@@ -77,6 +77,13 @@ class GramSet {
   /// Size of the intersection with another gram set.
   size_t OverlapWith(const GramSet& other) const;
 
+  /// Bounded intersection: the exact overlap when it is at least
+  /// `required`; otherwise some value below `required`. The merge stops
+  /// as soon as the overlap so far plus the shorter remaining side can
+  /// no longer reach `required`, so a candidate that cannot pass a
+  /// minimum-overlap test costs only a few mismatches.
+  size_t OverlapAtLeast(const GramSet& other, size_t required) const;
+
   friend bool operator==(const GramSet& a, const GramSet& b) {
     return a.grams_ == b.grams_;
   }

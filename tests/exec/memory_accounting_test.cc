@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/memory_budget.h"
@@ -92,6 +93,56 @@ TEST(MemoryAccountingTest, ExchangeAndShardsReportRoutedBytes) {
               shard->CommittedMemoryUsage() + shard->StagedMemoryUsage());
   }
   EXPECT_GT(committed, 100u);  // 100 routed rows, well over a byte each
+
+  ASSERT_TRUE(child.Close().ok());
+  ASSERT_TRUE(parent.Close().ok());
+}
+
+TEST(MemoryAccountingTest, ShardCountsCrossProbeScratch) {
+  // Parent keys share no gram with child keys, so phase B finds no
+  // candidate and no match: the only memory it adds is the cross-probe
+  // scratch's dense T(t), one counter per tuple of the largest index
+  // probed, which the committed figure must include.
+  datagen::TestCase tc = SmallCase();
+  for (size_t i = 0; i < tc.parent.size(); ++i) {
+    (*tc.parent.mutable_row(i))[datagen::kAtlasLocationColumn] =
+        storage::Value("0" + std::to_string(100000 + i));
+  }
+  exec::RelationScan child(&tc.child);
+  exec::RelationScan parent(&tc.parent);
+  ASSERT_TRUE(child.Open().ok());
+  ASSERT_TRUE(parent.Open().ok());
+
+  std::vector<std::unique_ptr<JoinShard>> shards;
+  std::vector<JoinShard*> ptrs;
+  for (uint32_t i = 0; i < 2; ++i) {
+    shards.push_back(std::make_unique<JoinShard>(
+        i, Spec(), join::ApproxProbeOptions{},
+        adaptive::ProcessorState::kLapRap));
+    shards.back()->BindSchemas(&child.output_schema(),
+                               &parent.output_schema());
+    ptrs.push_back(shards.back().get());
+  }
+  RadixExchange exchange(&child, &parent, Spec(),
+                         exec::InterleavePolicy::kAlternate, 0, 0, 64, 2);
+  exchange.Reset();
+  std::vector<RouteEntry> route;
+  ASSERT_TRUE(exchange.RouteEpoch(200, ptrs, &route).ok());
+  for (JoinShard* shard : ptrs) {
+    shard->BeginEpoch();
+    shard->RunBuildPhase();
+  }
+  for (JoinShard* shard : ptrs) {
+    const uint64_t before = shard->CommittedMemoryUsage();
+    shard->RunCrossProbePhase(ptrs);
+    const JoinShard* other = ptrs[shard == ptrs[0] ? 1 : 0];
+    const size_t probed = std::max(
+        other->core().qgram_index(exec::Side::kLeft).watermark(),
+        other->core().qgram_index(exec::Side::kRight).watermark());
+    ASSERT_GT(probed, 0u);
+    EXPECT_GE(shard->CommittedMemoryUsage(),
+              before + probed * sizeof(uint32_t));
+  }
 
   ASSERT_TRUE(child.Close().ok());
   ASSERT_TRUE(parent.Close().ok());

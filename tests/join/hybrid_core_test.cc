@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 namespace aqp {
 namespace join {
 namespace {
@@ -152,6 +154,23 @@ TEST(HybridCoreTest, MemoryUsageIncludesAllStructures) {
     core.ProcessTuple(Side::kRight, T("LOCATION " + std::to_string(i)));
   }
   EXPECT_GT(core.ApproximateMemoryUsage(), before);
+}
+
+TEST(HybridCoreTest, MemoryUsageCountsProbeScratch) {
+  // An approximate probe sizes the dense T(t) to the probed index: one
+  // counter per stored tuple of the other side, which the footprint
+  // must include. The probing store is primed first, so the measured
+  // step adds only one tuple's worth of store and index bytes.
+  constexpr size_t kStored = 4000;
+  HybridJoinCore core(Spec());
+  for (size_t i = 0; i < kStored; ++i) {
+    core.ProcessTuple(Side::kRight, T("STORED " + std::to_string(i)));
+  }
+  core.ProcessTuple(Side::kLeft, T("PRIMER"));
+  core.SetProbeMode(Side::kLeft, ProbeMode::kApproximate);
+  const size_t before = core.ApproximateMemoryUsage();
+  core.ProcessTuple(Side::kLeft, T("PROBE"));
+  EXPECT_GE(core.ApproximateMemoryUsage(), before + kStored * sizeof(uint32_t));
 }
 
 }  // namespace

@@ -7,6 +7,9 @@
 #include <string>
 #include <vector>
 
+#include "datagen/generator.h"
+#include "join/filter.h"
+#include "join/hybrid_core.h"
 #include "text/gram_order.h"
 
 namespace aqp {
@@ -335,44 +338,95 @@ TEST(ProbeFilteredTest, FiltersActuallyPrune) {
   EXPECT_LT(stats.candidates, unfiltered_stats.candidates);
 }
 
-TEST(ProbeScratchTest, CounterMapShrinksAfterWideProbe) {
-  // One pathologically wide probe inflates the counter map; a long run
-  // of narrow probes must let the shrink policy release the bucket
-  // table instead of pinning peak memory forever.
-  Fixture f;
-  for (int i = 0; i < 1200; ++i) {
-    f.Add("SANTA CRISTINA VALGARDENA SHARED STEM " + std::to_string(i));
+/// The paper-style test case the scratch and golden tests run on.
+datagen::TestCase GoldenCase() {
+  datagen::TestCaseOptions options;
+  options.pattern = datagen::PerturbationPattern::kFewHighIntensityRegions;
+  options.perturb_parent = true;
+  options.variant_rate = 0.10;
+  options.atlas.size = 400;
+  options.accidents.size = 800;
+  options.seed = 20090326;
+  auto tc = datagen::GenerateTestCase(options);
+  EXPECT_TRUE(tc.ok());
+  return std::move(*tc);
+}
+
+bool AllZero(const std::vector<uint32_t>& counters) {
+  return std::all_of(counters.begin(), counters.end(),
+                     [](uint32_t c) { return c == 0; });
+}
+
+TEST(ProbeScratchTest, CounterTableIsCleanAfterEveryProbe) {
+  // T(t) is a dense table the probe resets itself: after every probe,
+  // including ones whose T(t) held only position-rejected entries,
+  // every counter is zero; the table covers the largest index probed
+  // so far and never grows past it.
+  const datagen::TestCase tc = GoldenCase();
+  JoinSpec spec = Spec(0.85);
+  spec.filter = ApproxFilterOptions::Full();
+  GramOrderSampler sampler(spec.qgram);
+  for (size_t i = 0; i < tc.parent.size(); ++i) {
+    sampler.Add(exec::Side::kRight,
+                tc.parent.row(i)[datagen::kAtlasLocationColumn].AsString());
   }
+  spec.filter.gram_order = sampler.Finish();
+  TupleStore store(datagen::kAtlasLocationColumn, spec.qgram);
+  QGramIndex index(spec.qgram, spec.filter, spec.measure, spec.sim_threshold);
+
   ApproxProbeScratch scratch;
   std::vector<JoinMatch> out;
-  const JoinSpec spec = Spec(0.99);
-  const std::string wide = "SANTA CRISTINA VALGARDENA SHARED STEM";
-  // Without the insert-phase optimization every probe gram inserts, so
-  // all 1200 stem-sharing tuples land in T(t) and the counter map
-  // grows to its high-water bucket count.
+  size_t rejected_only_probes = 0;
+  for (size_t i = 0; i < tc.child.size(); ++i) {
+    if (i < tc.parent.size()) {
+      store.Add(tc.parent.row(i));
+      index.CatchUpWith(store);
+    }
+    const std::string key =
+        tc.child.row(i)[datagen::kAccidentsLocationColumn].AsString();
+    ApproxProbeStats stats;
+    ProbeApproximateInto(index, store, key, text::GramSet::Of(key, spec.qgram),
+                         spec, exec::Side::kLeft, static_cast<TupleId>(i),
+                         ApproxProbeOptions{}, &scratch, &stats, &out);
+    if (stats.candidates == 0 && stats.position_rejected > 0) {
+      ++rejected_only_probes;
+    }
+    ASSERT_TRUE(AllZero(scratch.counters)) << "after probe " << i;
+    ASSERT_TRUE(scratch.touched.empty());
+    ASSERT_EQ(scratch.counters.size(), index.watermark());
+  }
+  EXPECT_GT(rejected_only_probes, 0u);
+
+  // The unfiltered kernel shares the table. Its widest probe (no
+  // insert-phase optimization: every stem-sharing tuple becomes a
+  // candidate) leaves it clean too, and probing a smaller index
+  // afterwards neither shrinks nor grows it.
+  Fixture wide;
+  for (int i = 0; i < 1200; ++i) {
+    wide.Add("SANTA CRISTINA VALGARDENA SHARED STEM " + std::to_string(i));
+  }
+  const JoinSpec plain_spec = Spec(0.99);
+  const std::string stem = "SANTA CRISTINA VALGARDENA SHARED STEM";
   ApproxProbeOptions inflate;
   inflate.insert_phase_optimization = false;
-  ProbeApproximateInto(f.qgrams, f.store, wide,
-                       text::GramSet::Of(wide, spec.qgram), spec,
-                       exec::Side::kLeft, 0, inflate, &scratch,
+  ApproxProbeStats wide_stats;
+  ProbeApproximateInto(wide.qgrams, wide.store, stem,
+                       text::GramSet::Of(stem, plain_spec.qgram), plain_spec,
+                       exec::Side::kLeft, 0, inflate, &scratch, &wide_stats,
+                       &out);
+  EXPECT_EQ(wide_stats.candidates, 1200u);
+  EXPECT_TRUE(AllZero(scratch.counters));
+  EXPECT_TRUE(scratch.touched.empty());
+  EXPECT_EQ(scratch.counters.size(), 1200u);
+
+  Fixture narrow;
+  narrow.Add(stem);
+  ProbeApproximateInto(narrow.qgrams, narrow.store, stem,
+                       text::GramSet::Of(stem, plain_spec.qgram), plain_spec,
+                       exec::Side::kLeft, 0, ApproxProbeOptions{}, &scratch,
                        nullptr, &out);
-  const size_t high_water = scratch.counters.bucket_count();
-  ASSERT_GT(high_water,
-            ApproxProbeScratch::kShrinkFactor *
-                ApproxProbeScratch::kMinCounterBuckets);
-  // Narrow probes share no grams with the corpus: zero candidates each.
-  // Two full check intervals guarantee one interval whose peak is
-  // untouched by the wide probe.
-  const std::string narrow = "zzz qqq jjj xxx www kkk";
-  const auto narrow_grams = text::GramSet::Of(narrow, spec.qgram);
-  for (size_t i = 0; i < 2 * ApproxProbeScratch::kShrinkCheckInterval; ++i) {
-    out.clear();
-    ProbeApproximateInto(f.qgrams, f.store, narrow, narrow_grams, spec,
-                         exec::Side::kLeft, 0, ApproxProbeOptions{}, &scratch,
-                         nullptr, &out);
-    EXPECT_TRUE(out.empty());
-  }
-  EXPECT_LT(scratch.counters.bucket_count(), high_water);
+  EXPECT_TRUE(AllZero(scratch.counters));
+  EXPECT_EQ(scratch.counters.size(), 1200u);
 }
 
 TEST(ProbeStatsTest, MergeAccumulates) {
@@ -386,6 +440,55 @@ TEST(ProbeStatsTest, MergeAccumulates) {
   EXPECT_EQ(a.grams, 12u);
   EXPECT_EQ(a.candidates, 3u);
   EXPECT_EQ(a.matches, 1u);
+}
+
+TEST(ProbeGoldenTest, FilteredKernelCountersAreUnchanged) {
+  // One fixed datagen case, probed approximately from both sides under
+  // the full filter stack and a head-sampled gram order. The counters
+  // are the filtered kernel's work; they were recorded from the
+  // hash-map kernel, and a rewrite that only makes the same work
+  // cheaper must reproduce every one of them.
+  const datagen::TestCase tc = GoldenCase();
+  JoinSpec spec;
+  spec.left_column = datagen::kAccidentsLocationColumn;
+  spec.right_column = datagen::kAtlasLocationColumn;
+  spec.sim_threshold = 0.85;
+  ASSERT_TRUE(spec.filter.length && spec.filter.prefix &&
+              spec.filter.positional);
+
+  GramOrderSampler sampler(spec.qgram);
+  for (size_t i = 0; i < tc.child.size(); ++i) {
+    sampler.Add(exec::Side::kLeft,
+                tc.child.row(i)[spec.left_column].AsString());
+  }
+  for (size_t i = 0; i < tc.parent.size(); ++i) {
+    sampler.Add(exec::Side::kRight,
+                tc.parent.row(i)[spec.right_column].AsString());
+  }
+  HybridJoinCore core(spec);
+  core.InstallGramOrder(sampler.Finish());
+  core.SetProbeMode(exec::Side::kLeft, ProbeMode::kApproximate);
+  core.SetProbeMode(exec::Side::kRight, ProbeMode::kApproximate);
+  std::vector<JoinMatch> out;
+  for (size_t i = 0; i < std::max(tc.child.size(), tc.parent.size());
+       ++i) {
+    if (i < tc.child.size()) {
+      core.ProcessTupleInto(exec::Side::kLeft, tc.child.row(i), &out);
+    }
+    if (i < tc.parent.size()) {
+      core.ProcessTupleInto(exec::Side::kRight, tc.parent.row(i), &out);
+    }
+  }
+
+  const ApproxProbeStats& stats = core.approx_probe_stats();
+  EXPECT_EQ(stats.grams, 52156u);
+  EXPECT_EQ(stats.postings_scanned, 14663u);
+  EXPECT_EQ(stats.candidates, 1618u);
+  EXPECT_EQ(stats.verified, 1618u);
+  EXPECT_EQ(stats.matches, 788u);
+  EXPECT_EQ(stats.length_skipped, 3436u);
+  EXPECT_EQ(stats.position_rejected, 4737u);
+  EXPECT_EQ(out.size(), stats.matches);
 }
 
 }  // namespace

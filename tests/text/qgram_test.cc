@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
-#include <vector>
-
+#include <algorithm>
+#include <random>
 #include <set>
+#include <string>
+#include <vector>
 
 namespace aqp {
 namespace text {
@@ -131,6 +133,40 @@ TEST(GramSetTest, OverlapIsSymmetric) {
   EXPECT_EQ(a.OverlapWith(b), b.OverlapWith(a));
   EXPECT_GT(a.OverlapWith(b), 0u);
   EXPECT_LT(a.OverlapWith(b), a.size());
+}
+
+TEST(GramSetTest, BoundedOverlapIsExactWhenTheBoundIsReached) {
+  // Random gram sets over a four-letter alphabet at q = 2, so overlaps
+  // run from none to full; checked against a brute-force membership
+  // count for every bound from 0 to the smaller size + 1.
+  std::mt19937 rng(11);
+  std::uniform_int_distribution<int> length(0, 20);
+  std::uniform_int_distribution<int> letter(0, 3);
+  const auto random_string = [&] {
+    std::string s(static_cast<size_t>(length(rng)), 'A');
+    for (char& c : s) c = static_cast<char>('A' + letter(rng));
+    return s;
+  };
+  QGramOptions q2;
+  q2.q = 2;
+  for (int trial = 0; trial < 400; ++trial) {
+    const GramSet a = GramSet::Of(random_string(), q2);
+    const GramSet b = GramSet::Of(random_string(), q2);
+    size_t brute = 0;
+    for (GramKey key : a.grams()) {
+      brute += static_cast<size_t>(
+          std::count(b.grams().begin(), b.grams().end(), key));
+    }
+    for (size_t bound = 0; bound <= std::min(a.size(), b.size()) + 1;
+         ++bound) {
+      const size_t got = a.OverlapAtLeast(b, bound);
+      if (brute >= bound) {
+        EXPECT_EQ(got, brute) << "bound " << bound;
+      } else {
+        EXPECT_LT(got, bound) << "brute " << brute;
+      }
+    }
+  }
 }
 
 TEST(GramSetTest, EmptyStringPaddedStillHasGrams) {
