@@ -164,6 +164,12 @@ void JoinShard::RunCrossProbePhase(const std::vector<JoinShard*>& shards) {
     // share a hash and therefore a shard, so no cross-shard work.
     if (probe_grams.empty()) continue;
     const std::string_view probe_key = own_store.JoinKey(routed.local_id);
+    // The probe's phase-A step ranked its ordered prefix (every shard
+    // shares one gram order), so phase B only reads the lane.
+    const text::PrefixView probe_prefix =
+        own_store.prefix_rule() != nullptr
+            ? own_store.FilledPrefix(routed.local_id)
+            : text::PrefixView();
 
     StepOutputs step;
     step.seq = routed.seq;
@@ -173,9 +179,9 @@ void JoinShard::RunCrossProbePhase(const std::vector<JoinShard*>& shards) {
       cross_tmp_.clear();
       join::ProbeApproximateInto(
           other->core_.qgram_index(stored_side),
-          other->core_.store(stored_side), probe_key, probe_grams, spec_,
-          routed.side, routed.local_id, approx_options_, &cross_scratch_,
-          &cross_stats_, &cross_tmp_);
+          other->core_.store(stored_side), probe_key, probe_grams,
+          probe_prefix, spec_, routed.side, routed.local_id, approx_options_,
+          &cross_scratch_, &cross_stats_, &cross_tmp_);
       for (const join::JoinMatch& m : cross_tmp_) {
         // Sequence gate: the single-threaded join would only have
         // indexed tuples that arrived before this probe's step.

@@ -70,9 +70,9 @@ struct CrossMatch {
 /// Thread contract: phase methods run on one worker at a time. During
 /// phase A a shard touches only its own state. During phase B it reads
 /// other shards' stores/indexes, which are frozen at the phase-A
-/// barrier (gram caches included: a probing tuple's grams materialize
-/// during its own phase-A probe, a stored tuple's at q-gram-index
-/// insert).
+/// barrier (gram caches and prefix lanes included: a probing tuple's
+/// grams and ordered prefix materialize during its own phase-A probe, a
+/// stored tuple's at q-gram-index insert).
 class JoinShard {
  public:
   JoinShard(uint32_t index, const join::JoinSpec& spec,

@@ -91,16 +91,6 @@ GramCountBand LengthBandFor(text::SimilarityMeasure measure,
   return band;
 }
 
-size_t PrefixLengthFor(text::SimilarityMeasure measure, size_t set_size,
-                       double threshold) {
-  if (set_size == 0) return 0;
-  const size_t k = text::MinOverlapForThreshold(measure, set_size, threshold);
-  // k is in [1, set_size] for any threshold <= 1, so the result is in
-  // [1, set_size]; clamp anyway so a pathological threshold cannot
-  // underflow.
-  return k > set_size ? 1 : set_size - k + 1;
-}
-
 std::optional<size_t> MinPairOverlap(text::SimilarityMeasure measure,
                                      size_t probe_size, size_t stored_size,
                                      double threshold) {

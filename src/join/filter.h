@@ -101,17 +101,6 @@ bool LengthCompatible(text::SimilarityMeasure measure, size_t probe_size,
 GramCountBand LengthBandFor(text::SimilarityMeasure measure,
                             size_t probe_size, double threshold);
 
-/// \brief Number of prefix grams g - k + 1 of a gram set with
-/// `set_size` grams, where k = MinOverlapForThreshold(measure,
-/// set_size, threshold).
-///
-/// Any pair reaching the threshold overlaps in at least max of the two
-/// sides' k values, so the two prefixes must intersect (the standard
-/// prefix-overlap argument) — scanning or posting only prefix grams
-/// loses no match. Returns 0 for an empty set.
-size_t PrefixLengthFor(text::SimilarityMeasure measure, size_t set_size,
-                       double threshold);
-
 /// \brief Smallest overlap o with sim(probe_size, stored_size, o) >=
 /// threshold, or nullopt when even full overlap falls short. Binary
 /// search over SetSimilarityFromOverlap (monotone in o), again so the

@@ -1,5 +1,7 @@
 #include "join/hybrid_core.h"
 
+#include <cassert>
+
 #include "common/hash.h"
 
 namespace aqp {
@@ -25,7 +27,25 @@ HybridJoinCore::HybridJoinCore(const JoinSpec& spec,
       qgram_{QGramIndex(spec.qgram, spec.filter, spec.measure,
                         spec.sim_threshold),
              QGramIndex(spec.qgram, spec.filter, spec.measure,
-                        spec.sim_threshold)} {}
+                        spec.sim_threshold)} {
+  // A caller-supplied order is frozen from the start.
+  if (spec.filter.gram_order != nullptr) FreezePrefixRule();
+}
+
+void HybridJoinCore::FreezePrefixRule() {
+  if (!qgram_[0].payload_mode()) return;
+  const text::PrefixRule rule = qgram_[0].prefix_rule();
+  stores_[0].SetPrefixRule(rule);
+  stores_[1].SetPrefixRule(rule);
+}
+
+size_t HybridJoinCore::CatchUpQGram(size_t i) {
+  if (qgram_[i].payload_mode() && stores_[0].prefix_rule() == nullptr &&
+      stores_[i].size() > qgram_[i].watermark()) {
+    FreezePrefixRule();
+  }
+  return qgram_[i].CatchUpWith(stores_[i]);
+}
 
 void HybridJoinCore::MaintainLiveIndex(Side side) {
   const size_t s = Idx(side);
@@ -36,7 +56,7 @@ void HybridJoinCore::MaintainLiveIndex(Side side) {
   if (mode_[o] == ProbeMode::kExact) {
     exact_[s].CatchUpWith(stores_[s]);
   } else {
-    qgram_[s].CatchUpWith(stores_[s]);
+    CatchUpQGram(s);
   }
 }
 
@@ -73,9 +93,19 @@ size_t HybridJoinCore::ProcessAddedTuple(Side side, storage::TupleId id,
     appended = ProbeExactInto(exact_[o], key, stores_[s].KeyHash(id), side,
                               id, out);
   } else {
+    // The filtered kernel scans the prober's ordered prefix, ranked once
+    // per tuple in its store's lane. There is no lane before the order
+    // is frozen, and then no q-gram index holds a posting yet.
+    text::PrefixView prefix;
+    if (stores_[s].prefix_rule() != nullptr) {
+      assert(stores_[s].prefix_rule()->order ==
+                 qgram_[o].filter().gram_order &&
+             "prefix lane ranked under another gram order");
+      prefix = stores_[s].Prefix(id);
+    }
     appended = ProbeApproximateInto(qgram_[o], stores_[o], key,
-                                    stores_[s].Grams(id), spec_, side, id,
-                                    approx_options_, &probe_scratch_,
+                                    stores_[s].Grams(id), prefix, spec_, side,
+                                    id, approx_options_, &probe_scratch_,
                                     &approx_stats_, out);
   }
 
@@ -129,7 +159,7 @@ size_t HybridJoinCore::SetProbeMode(Side side, ProbeMode mode) {
   if (mode == ProbeMode::kExact) {
     caught_up = exact_[o].CatchUpWith(stores_[o]);
   } else {
-    caught_up = qgram_[o].CatchUpWith(stores_[o]);
+    caught_up = CatchUpQGram(o);
   }
   catchup_tuples_ += caught_up;
   return caught_up;

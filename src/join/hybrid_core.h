@@ -120,11 +120,13 @@ class HybridJoinCore {
 
   /// Installs `order` into both q-gram indexes. Only before either has
   /// indexed a tuple (asserted — the order must be frozen first). The
-  /// core keeps the order for its own lifetime; the spec it was built
-  /// from is left untouched.
+  /// core keeps the order for its own lifetime, and both stores rank
+  /// their prefix lanes under it; the spec it was built from is left
+  /// untouched.
   void InstallGramOrder(const std::shared_ptr<const text::GramOrder>& order) {
     qgram_[0].SetGramOrder(order);
     qgram_[1].SetGramOrder(order);
+    FreezePrefixRule();
   }
 
   /// The gram order the filtered indexes post and probe under (null
@@ -133,19 +135,12 @@ class HybridJoinCore {
     return qgram_[0].filter().gram_order;
   }
 
-  /// Reserves store and q-gram-index capacity for the expected input
-  /// cardinalities (0 = unknown); the operator wrappers pass their
-  /// size hints so steady ingest never reallocates the per-tuple
-  /// vectors or rehashes the posting maps.
+  /// Reserves store capacity for the expected input cardinalities
+  /// (0 = unknown); the operator wrappers pass their size hints so
+  /// steady ingest never reallocates the per-tuple vectors.
   void ReserveStores(size_t left_hint, size_t right_hint) {
-    if (left_hint > 0) {
-      stores_[Idx(Side::kLeft)].Reserve(left_hint);
-      qgram_[Idx(Side::kLeft)].Reserve(left_hint);
-    }
-    if (right_hint > 0) {
-      stores_[Idx(Side::kRight)].Reserve(right_hint);
-      qgram_[Idx(Side::kRight)].Reserve(right_hint);
-    }
+    if (left_hint > 0) stores_[Idx(Side::kLeft)].Reserve(left_hint);
+    if (right_hint > 0) stores_[Idx(Side::kRight)].Reserve(right_hint);
   }
 
   /// \name Introspection.
@@ -189,6 +184,16 @@ class HybridJoinCore {
   /// Keeps `side`'s live index (the one the opposite side probes)
   /// current with the side's store.
   void MaintainLiveIndex(Side side);
+
+  /// Catches the q-gram index over side `i` up with its store. The
+  /// first filtered insert freezes the prefix rule if no order was
+  /// installed (a bare core posts under gram-key order).
+  size_t CatchUpQGram(size_t i);
+
+  /// Installs the q-gram indexes' prefix rule (their gram order,
+  /// measure, threshold and prefix switch) into both stores' prefix
+  /// lanes (filters on only). Only before any prefix is ranked.
+  void FreezePrefixRule();
 
   /// Shared step body of the ProcessTupleInto variants: maintain the
   /// live index, probe, update flags/counters, append matches.

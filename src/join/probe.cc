@@ -27,21 +27,43 @@ constexpr uint32_t kUnreachable = std::numeric_limits<uint32_t>::max();
 
 /// Readies the scratch for one probe of an index holding `watermark`
 /// tuples: T(t) covers every indexed id and is all-zero (a probe that
-/// threw midway may have left counters set), and the bound table is
-/// empty.
+/// threw midway may have left counters set).
 void BeginProbe(ApproxProbeScratch& work, size_t watermark) {
   for (storage::TupleId id : work.touched) work.counters[id] = 0;
   work.touched.clear();
   if (work.counters.size() < watermark) work.counters.resize(watermark, 0);
-  work.required.clear();
+}
+
+/// The scratch's bounds for a probe with `g` grams under `spec`'s
+/// predicate, computed on first use. A scratch serves one predicate at
+/// a time; another one clears the table.
+ProbeBounds& BoundsFor(ApproxProbeScratch& work, const JoinSpec& spec,
+                       size_t g) {
+  if (work.bounds_measure != spec.measure ||
+      work.bounds_threshold != spec.sim_threshold) {
+    work.bounds.clear();
+    work.bounds_measure = spec.measure;
+    work.bounds_threshold = spec.sim_threshold;
+  }
+  if (g >= work.bounds.size()) work.bounds.resize(g + 1);
+  ProbeBounds& bounds = work.bounds[g];
+  if (!bounds.ready) {
+    bounds.band = LengthBandFor(spec.measure, g, spec.sim_threshold);
+    bounds.insert_end =
+        text::PrefixLengthFor(spec.measure, g, spec.sim_threshold);
+    bounds.k =
+        text::MinOverlapForThreshold(spec.measure, g, spec.sim_threshold);
+    bounds.ready = true;
+  }
+  return bounds;
 }
 
 /// MinPairOverlap of a probe with `g` grams against a stored tuple with
-/// `stored_size` grams (kUnreachable for nullopt), computed once per
-/// stored size per probe: the bound table memoizes the same function
-/// at the same arguments, so every decision it feeds is unchanged.
-uint32_t RequiredOverlap(std::vector<uint32_t>& table, const JoinSpec& spec,
-                         size_t g, size_t stored_size) {
+/// `stored_size` grams (kUnreachable for nullopt), memoized in
+/// the probe's bounds across probes.
+uint32_t RequiredOverlap(ProbeBounds& bounds, const JoinSpec& spec, size_t g,
+                         size_t stored_size) {
+  std::vector<uint32_t>& table = bounds.required;
   if (stored_size >= table.size()) table.resize(stored_size + 1, 0);
   uint32_t& slot = table[stored_size];
   if (slot == 0) {
@@ -71,57 +93,46 @@ void EmitMatch(const storage::TupleStore& store, std::string_view probe_key,
 }
 
 /// The filtered probe kernel: length / prefix / positional filtering
-/// over payload postings, scanning probe grams ascending in the fixed
-/// global gram order. Exact — see join/filter.h for the per-filter
-/// soundness arguments.
+/// over payload postings, scanning the probe's ordered prefix (its
+/// grams ascending in the fixed global gram order, ranked before the
+/// probe). Exact — see join/filter.h for the per-filter soundness
+/// arguments.
 void FilteredProbe(const QGramIndex& index, const storage::TupleStore& store,
                    std::string_view probe_key,
-                   const text::GramSet& probe_grams, const JoinSpec& spec,
+                   const text::GramSet& probe_grams,
+                   text::PrefixView probe_prefix, const JoinSpec& spec,
                    Side probe_side, storage::TupleId probe_id,
                    ApproxProbeScratch& work, ApproxProbeStats* stats,
                    std::vector<JoinMatch>* out) {
-  // The index's filter config, gram order included: both sides of the
-  // prefix argument must use the order the index posted under.
   const ApproxFilterOptions& filter = index.filter();
   const size_t g = probe_grams.size();
-  const size_t k =
-      text::MinOverlapForThreshold(spec.measure, g, spec.sim_threshold);
-
-  // Probe grams ascending in the global order (rarest first when the
-  // order was sampled; plain key order otherwise). Both sides of the
-  // prefix argument use this one order — the index posted under it.
-  auto& ordered = work.ordered;
-  ordered.clear();
-  ordered.reserve(g);
-  const text::GramOrder* order = filter.gram_order.get();
-  for (text::GramKey key : probe_grams.grams()) {
-    ordered.emplace_back(order != nullptr ? order->FrequencyOf(key) : 0,
-                         key);
-  }
-  std::sort(ordered.begin(), ordered.end());
-
+  ProbeBounds& bounds = BoundsFor(work, spec, g);
+  const size_t k = bounds.k;
   GramCountBand band;
   if (filter.length) {
-    band = LengthBandFor(spec.measure, g, spec.sim_threshold);
+    band = bounds.band;
   } else {
     band.lo = 0;
     band.hi = std::numeric_limits<size_t>::max();
   }
+  // Only the first g-k+1 grams may insert (§2.2's rule — identical to
+  // the probe-side prefix length); with prefix indexing the remaining
+  // grams are not even in the ordered prefix, since the counter is no
+  // longer the verifier's overlap.
+  const size_t insert_end = bounds.insert_end;
+  const size_t scan_end = probe_prefix.size();
+  assert((scan_end == (filter.prefix ? insert_end : g) ||
+          (scan_end == 0 && index.distinct_grams() == 0)) &&
+         "probe prefix cut under another rule");
+  const text::GramKey* const grams = probe_grams.grams().data();
 
   uint32_t* const counters = work.counters.data();
   auto& touched = work.touched;
 
-  // Only the first g-k+1 grams may insert (§2.2's rule — identical to
-  // the probe-side prefix length); with prefix indexing the remaining
-  // grams are not even scanned, since the counter is no longer the
-  // verifier's overlap.
-  const size_t insert_end =
-      PrefixLengthFor(spec.measure, g, spec.sim_threshold);
-  const size_t scan_end = filter.prefix ? insert_end : g;
   size_t rejected = 0;
   for (size_t i = 0; i < scan_end; ++i) {
     const std::vector<GramPosting>* postings =
-        index.PayloadPostings(ordered[i].second);
+        index.PayloadPostings(grams[probe_prefix[i]]);
     if (postings == nullptr) continue;
     if (stats != nullptr) stats->postings_scanned += postings->size();
     const bool may_insert = i < insert_end;
@@ -144,7 +155,7 @@ void FilteredProbe(const QGramIndex& index, const storage::TupleStore& store,
         // remaining-suffix bound on the total overlap is valid here
         // and *stays* valid: rejection is permanent.
         const uint32_t required =
-            RequiredOverlap(work.required, spec, g, posting.gram_count);
+            RequiredOverlap(bounds, spec, g, posting.gram_count);
         if (required == kUnreachable ||
             !PositionalCompatible(g, i, posting.gram_count, posting.position,
                                   required)) {
@@ -176,7 +187,7 @@ void FilteredProbe(const QGramIndex& index, const storage::TupleStore& store,
       if (stats != nullptr) ++stats->verified;
       const text::GramSet& candidate_grams = index.GramSetOf(candidate);
       const uint32_t required =
-          RequiredOverlap(work.required, spec, g, candidate_grams.size());
+          RequiredOverlap(bounds, spec, g, candidate_grams.size());
       if (required == kUnreachable) continue;
       const size_t overlap =
           probe_grams.OverlapAtLeast(candidate_grams, required);
@@ -207,10 +218,15 @@ void FilteredProbe(const QGramIndex& index, const storage::TupleStore& store,
 }  // namespace
 
 size_t ApproxProbeScratch::ApproximateMemoryUsage() const {
-  return ordered.capacity() * sizeof(ordered[0]) +
-         counters.capacity() * sizeof(uint32_t) +
-         touched.capacity() * sizeof(storage::TupleId) +
-         required.capacity() * sizeof(uint32_t);
+  size_t bytes = ranked.capacity() * sizeof(ranked[0]) +
+                 prefix.capacity() * sizeof(uint32_t) +
+                 counters.capacity() * sizeof(uint32_t) +
+                 touched.capacity() * sizeof(storage::TupleId) +
+                 bounds.capacity() * sizeof(ProbeBounds);
+  for (const ProbeBounds& row : bounds) {
+    bytes += row.required.capacity() * sizeof(uint32_t);
+  }
+  return bytes;
 }
 
 void ApproxProbeStats::MergeFrom(const ApproxProbeStats& other) {
@@ -251,6 +267,7 @@ size_t ProbeApproximateInto(const QGramIndex& index,
                             const storage::TupleStore& store,
                             std::string_view probe_key,
                             const text::GramSet& probe_grams,
+                            text::PrefixView probe_prefix,
                             const JoinSpec& spec, Side probe_side,
                             storage::TupleId probe_id,
                             const ApproxProbeOptions& options,
@@ -287,23 +304,26 @@ size_t ProbeApproximateInto(const QGramIndex& index,
   BeginProbe(work, index.watermark());
 
   if (index.payload_mode()) {
-    FilteredProbe(index, store, probe_key, probe_grams, spec, probe_side,
-                  probe_id, work, stats, out);
+    FilteredProbe(index, store, probe_key, probe_grams, probe_prefix, spec,
+                  probe_side, probe_id, work, stats, out);
   } else {
     const size_t g = probe_grams.size();
     const size_t k =
         text::MinOverlapForThreshold(spec.measure, g, spec.sim_threshold);
 
-    // Order the probe's grams; "reverse frequency order" = rarest
-    // first.
-    auto& ordered = work.ordered;
-    ordered.clear();
-    ordered.reserve(g);
-    for (text::GramKey key : probe_grams.grams()) {
-      ordered.emplace_back(index.Frequency(key), key);
+    // Rank the probe's grams by live posting frequency; "reverse
+    // frequency order" = rarest first. Positions break ties in key
+    // order, since grams() is key-sorted.
+    const std::vector<text::GramKey>& grams = probe_grams.grams();
+    auto& ranked = work.ranked;
+    ranked.clear();
+    ranked.reserve(g);
+    for (size_t i = 0; i < g; ++i) {
+      ranked.emplace_back(index.Frequency(grams[i]),
+                          static_cast<uint32_t>(i));
     }
     if (options.rare_grams_first) {
-      std::sort(ordered.begin(), ordered.end());
+      std::sort(ranked.begin(), ranked.end());
     }
 
     // T(t): candidate tuple -> number of shared grams seen so far. For
@@ -313,9 +333,9 @@ size_t ProbeApproximateInto(const QGramIndex& index,
     auto& touched = work.touched;
     const size_t insert_phase_end =
         options.insert_phase_optimization && k <= g ? g - k + 1 : g;
-    for (size_t i = 0; i < ordered.size(); ++i) {
+    for (size_t i = 0; i < g; ++i) {
       const std::vector<storage::TupleId>* postings =
-          index.Postings(ordered[i].second);
+          index.Postings(grams[ranked[i].second]);
       if (postings == nullptr) continue;
       if (stats != nullptr) stats->postings_scanned += postings->size();
       const bool may_insert = i < insert_phase_end;
@@ -358,6 +378,30 @@ size_t ProbeApproximateInto(const QGramIndex& index,
               return a.stored_id < b.stored_id;
             });
   return out->size() - out_begin;
+}
+
+size_t ProbeApproximateInto(const QGramIndex& index,
+                            const storage::TupleStore& store,
+                            std::string_view probe_key,
+                            const text::GramSet& probe_grams,
+                            const JoinSpec& spec, Side probe_side,
+                            storage::TupleId probe_id,
+                            const ApproxProbeOptions& options,
+                            ApproxProbeScratch* scratch,
+                            ApproxProbeStats* stats,
+                            std::vector<JoinMatch>* out) {
+  ApproxProbeScratch local;
+  ApproxProbeScratch& work = scratch != nullptr ? *scratch : local;
+  text::PrefixView prefix;
+  if (index.payload_mode()) {
+    work.prefix.clear();
+    text::OrderedPrefixInto(probe_grams, index.prefix_rule(), &work.ranked,
+                            &work.prefix);
+    prefix = text::PrefixView(work.prefix.data(), work.prefix.size());
+  }
+  return ProbeApproximateInto(index, store, probe_key, probe_grams, prefix,
+                              spec, probe_side, probe_id, options, &work,
+                              stats, out);
 }
 
 size_t ProbeApproximateInto(const QGramIndex& index,

@@ -10,6 +10,7 @@
 #include "join/join_types.h"
 #include "join/qgram_index.h"
 #include "storage/tuple_store.h"
+#include "text/gram_order.h"
 #include "text/qgram.h"
 
 namespace aqp {
@@ -29,32 +30,57 @@ struct ApproxProbeOptions {
   bool rare_grams_first = true;
 };
 
-/// \brief Reusable per-probe working memory.
+/// \brief Bounds of the filtered kernel for one probe gram count g,
+/// under the scratch's (measure, threshold). Every entry is the same
+/// function at the same arguments the kernel would otherwise evaluate
+/// per probe, so memoizing them changes no decision.
+struct ProbeBounds {
+  bool ready = false;
+  /// LengthBandFor(measure, g, threshold).
+  GramCountBand band;
+  /// PrefixLengthFor(measure, g, threshold): grams that may insert.
+  size_t insert_end = 0;
+  /// MinOverlapForThreshold(measure, g, threshold).
+  size_t k = 0;
+  /// MinPairOverlap(measure, g, s, threshold) per stored gram count s
+  /// (0 = not computed yet, UINT32_MAX when even full overlap falls
+  /// short).
+  std::vector<uint32_t> required;
+};
+
+/// \brief Reusable probe working memory.
 ///
-/// One approximate probe needs a frequency-ordered gram list and the
-/// T(t) candidate counter table; both are cleared (capacity kept) and
-/// reused when the caller passes the same scratch to every probe, so
-/// steady-state probing neither hashes nor allocates. Owned by one
-/// single-threaded prober (e.g. a HybridJoinCore).
+/// One approximate probe needs a ranked gram list (unfiltered kernel;
+/// the filtered kernel reads a precomputed ordered prefix), the T(t)
+/// candidate counter table, and the filtered kernel's bounds; all are
+/// kept (capacity and contents) when the caller passes the same
+/// scratch to every probe, so steady-state probing neither hashes nor
+/// allocates. Owned by one single-threaded prober (e.g. a
+/// HybridJoinCore).
 ///
 /// T(t) is dense: one counter per stored tuple of the probed index, so
 /// it costs 4 B per stored tuple and never more than the largest index
 /// the scratch has probed. Between probes every counter is 0.
 struct ApproxProbeScratch {
-  /// (gram order rank, gram) pairs of the probe, sorted ascending. The
-  /// rank is the live posting frequency in the unfiltered kernel
-  /// ("reverse frequency order") and the fixed global-order frequency
-  /// in the filtered kernel.
-  std::vector<std::pair<size_t, text::GramKey>> ordered;
+  /// (rank, gram position) pairs. The unfiltered kernel ranks by live
+  /// posting frequency ("reverse frequency order"); the probe entry
+  /// point without an ordered prefix ranks a filtered probe by the
+  /// index's gram order (text::OrderedPrefixInto) here.
+  std::vector<std::pair<uint64_t, uint32_t>> ranked;
+  /// The ordered prefix computed by that entry point.
+  std::vector<uint32_t> prefix;
   /// T(t), indexed by stored TupleId: 0 = not a candidate, n = n shared
   /// grams seen so far, or the filtered kernel's rejected sentinel.
   std::vector<uint32_t> counters;
   /// Ids whose counter this probe made nonzero, in discovery order; the
   /// probe resets exactly these before it returns.
   std::vector<storage::TupleId> touched;
-  /// Filtered kernel: the probe's MinPairOverlap per stored gram count,
-  /// filled on first use within a probe (0 = not computed yet).
-  std::vector<uint32_t> required;
+  /// Filtered kernel bounds per probe gram count, valid for
+  /// (bounds_measure, bounds_threshold) and cleared only when a probe
+  /// brings another predicate.
+  std::vector<ProbeBounds> bounds;
+  text::SimilarityMeasure bounds_measure = text::SimilarityMeasure::kJaccard;
+  double bounds_threshold = -1.0;
 
   /// Heap bytes held (capacities), for memory accounting.
   size_t ApproximateMemoryUsage() const;
@@ -133,11 +159,31 @@ std::vector<JoinMatch> ProbeExact(const ExactIndex& index,
 ///
 /// `probe_grams` is the probe key's gram set — for stored probing
 /// tuples it comes straight from the store's gram cache, so neither
-/// side of the verification re-runs gram extraction. `store` supplies
-/// candidate strings for the equality check; `scratch` (may be null)
-/// makes the probe allocation-free in steady state; `stats` may be
-/// null. Matches are appended to `*out` (sorted by stored id within
-/// the appended region); returns the number appended.
+/// side of the verification re-runs gram extraction. `probe_prefix` is
+/// its ordered prefix under the index's prefix_rule() — for stored
+/// probing tuples the store's prefix lane, ranked once per tuple — and
+/// is read only by the filtered kernel, which neither ranks grams nor
+/// looks up the gram order; it may be empty only while the index holds
+/// no posting. `store` supplies candidate strings for the equality
+/// check; `scratch` (may be null) makes the probe allocation-free in
+/// steady state; `stats` may be null. Matches are appended to `*out`
+/// (sorted by stored id within the appended region); returns the number
+/// appended.
+size_t ProbeApproximateInto(const QGramIndex& index,
+                            const storage::TupleStore& store,
+                            std::string_view probe_key,
+                            const text::GramSet& probe_grams,
+                            text::PrefixView probe_prefix,
+                            const JoinSpec& spec, Side probe_side,
+                            storage::TupleId probe_id,
+                            const ApproxProbeOptions& options,
+                            ApproxProbeScratch* scratch,
+                            ApproxProbeStats* stats,
+                            std::vector<JoinMatch>* out);
+
+/// Same, ranking the probe's ordered prefix for a filtered index here
+/// (in `scratch` when given) — for probes with no prefix lane behind
+/// them (tests, benches, one-off code).
 size_t ProbeApproximateInto(const QGramIndex& index,
                             const storage::TupleStore& store,
                             std::string_view probe_key,

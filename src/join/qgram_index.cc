@@ -13,11 +13,14 @@ namespace {
 /// the 1→2→4 reallocation churn every new gram would otherwise pay.
 constexpr size_t kInitialPostingCapacity = 4;
 
-/// Reserve() cap: distinct grams saturate around the alphabet^q corpus
-/// vocabulary, far below million-row tuple counts — reserving one
-/// bucket per expected tuple beyond this would only waste bucket
-/// array memory.
-constexpr size_t kMaxReservedBuckets = size_t{1} << 20;
+/// Appends one posting to `key`'s list, creating the list on first use.
+template <typename Posting>
+void Post(text::GramKeyTable<std::vector<Posting>>& table, text::GramKey key,
+          const Posting& posting) {
+  std::vector<Posting>& postings = table.Insert(key);
+  if (postings.capacity() == 0) postings.reserve(kInitialPostingCapacity);
+  postings.push_back(posting);
+}
 
 }  // namespace
 
@@ -33,7 +36,14 @@ size_t QGramIndex::CatchUpWith(const storage::TupleStore& store) {
   size_t inserted = 0;
   if (!store_backed_) local_gram_sets_.reserve(target);
   const bool payload = payload_mode();
-  const text::GramOrder* order = filter_.gram_order.get();
+  // Payload postings go under each tuple's ordered prefix: the store's
+  // lane when it ranks under this index's rule (the engine's stores
+  // do), else ranked here.
+  const bool lane_backed = payload && store_backed_ &&
+                           store.prefix_rule() != nullptr &&
+                           *store.prefix_rule() == rule_;
+  std::vector<uint32_t> local_prefix;
+  std::vector<std::pair<uint64_t, uint32_t>> rank_scratch;
   for (size_t i = watermark_; i < target; ++i) {
     const auto id = static_cast<storage::TupleId>(i);
     if (!store_backed_) {
@@ -45,40 +55,27 @@ size_t QGramIndex::CatchUpWith(const storage::TupleStore& store) {
       empty_gram_tuples_.push_back(id);
     } else if (!payload) {
       for (text::GramKey key : set.grams()) {
-        std::vector<storage::TupleId>& postings = postings_[key];
-        if (postings.capacity() == 0) {
-          postings.reserve(kInitialPostingCapacity);
-        }
-        postings.push_back(id);
+        Post(postings_, key, id);
         ++total_postings_;
       }
     } else {
-      // Payload layout: order the tuple's grams under the global gram
-      // order, then post the first g-k+1 of them (all g without prefix
-      // filtering), each carrying the tuple's gram count and the
-      // gram's position in the ordered list.
-      const size_t g = set.size();
-      order_scratch_.clear();
-      order_scratch_.reserve(g);
-      for (text::GramKey key : set.grams()) {
-        order_scratch_.emplace_back(order ? order->FrequencyOf(key) : 0,
-                                    key);
+      // Payload layout: post the tuple's ordered prefix (all g grams
+      // without prefix filtering), each entry carrying the tuple's gram
+      // count and the gram's position in the ordered list.
+      text::PrefixView prefix;
+      if (lane_backed) {
+        prefix = store.Prefix(id);
+      } else {
+        local_prefix.clear();
+        text::OrderedPrefixInto(set, rule_, &rank_scratch, &local_prefix);
+        prefix = text::PrefixView(local_prefix.data(), local_prefix.size());
       }
-      // grams() is already key-sorted, so with no sampled order this
-      // sort is a no-op pass; with one it ranks rarest first.
-      std::sort(order_scratch_.begin(), order_scratch_.end());
-      const size_t posted =
-          filter_.prefix ? PrefixLengthFor(measure_, g, sim_threshold_) : g;
-      for (size_t j = 0; j < posted; ++j) {
-        std::vector<GramPosting>& postings =
-            payload_postings_[order_scratch_[j].second];
-        if (postings.capacity() == 0) {
-          postings.reserve(kInitialPostingCapacity);
-        }
-        postings.push_back(GramPosting{id, static_cast<uint32_t>(g),
-                                       static_cast<uint32_t>(j)});
-        ++total_postings_;
+      const auto g = static_cast<uint32_t>(set.size());
+      for (size_t j = 0; j < prefix.size(); ++j) {
+        Post(payload_postings_, set.grams()[prefix[j]],
+             GramPosting{id, g, static_cast<uint32_t>(j)});
       }
+      total_postings_ += prefix.size();
     }
     ++inserted;
   }
@@ -86,27 +83,13 @@ size_t QGramIndex::CatchUpWith(const storage::TupleStore& store) {
   return inserted;
 }
 
-const std::vector<storage::TupleId>* QGramIndex::Postings(
-    text::GramKey key) const {
-  assert(!payload_mode() && "plain postings unavailable in payload mode");
-  auto it = postings_.find(key);
-  return it == postings_.end() ? nullptr : &it->second;
-}
-
-const std::vector<GramPosting>* QGramIndex::PayloadPostings(
-    text::GramKey key) const {
-  assert(payload_mode() && "payload postings require an enabled filter");
-  auto it = payload_postings_.find(key);
-  return it == payload_postings_.end() ? nullptr : &it->second;
-}
-
 size_t QGramIndex::Frequency(text::GramKey key) const {
   if (payload_mode()) {
-    auto it = payload_postings_.find(key);
-    return it == payload_postings_.end() ? 0 : it->second.size();
+    const std::vector<GramPosting>* postings = payload_postings_.Find(key);
+    return postings == nullptr ? 0 : postings->size();
   }
-  auto it = postings_.find(key);
-  return it == postings_.end() ? 0 : it->second.size();
+  const std::vector<storage::TupleId>* postings = postings_.Find(key);
+  return postings == nullptr ? 0 : postings->size();
 }
 
 double QGramIndex::AveragePostingLength() const {
@@ -116,31 +99,16 @@ double QGramIndex::AveragePostingLength() const {
          static_cast<double>(distinct);
 }
 
-void QGramIndex::Reserve(size_t expected_tuples) {
-  const size_t buckets = std::min(expected_tuples, kMaxReservedBuckets);
-  if (buckets == 0) return;
-  if (payload_mode()) {
-    payload_postings_.reserve(buckets);
-  } else {
-    postings_.reserve(buckets);
-  }
-}
-
 size_t QGramIndex::ApproximateMemoryUsage() const {
-  size_t bytes = 0;
-  for (const auto& [key, postings] : postings_) {
-    bytes += sizeof(key);
-    bytes += postings.capacity() * sizeof(storage::TupleId) +
-             sizeof(postings);
-  }
-  for (const auto& [key, postings] : payload_postings_) {
-    bytes += sizeof(key);
-    bytes += postings.capacity() * sizeof(GramPosting) + sizeof(postings);
-  }
-  // Bucket arrays: reserved capacity is real memory even before any
-  // posting lands in it.
-  bytes += postings_.bucket_count() * sizeof(void*);
-  bytes += payload_postings_.bucket_count() * sizeof(void*);
+  // Slot arrays (key + list header per slot, free slots included),
+  // then the lists' entries.
+  size_t bytes = postings_.SlotBytes() + payload_postings_.SlotBytes();
+  postings_.ForEach([&bytes](text::GramKey, const auto& postings) {
+    bytes += postings.capacity() * sizeof(storage::TupleId);
+  });
+  payload_postings_.ForEach([&bytes](text::GramKey, const auto& postings) {
+    bytes += postings.capacity() * sizeof(GramPosting);
+  });
   for (const text::GramSet& set : local_gram_sets_) {
     bytes += set.grams().capacity() * sizeof(text::GramKey) + sizeof(set);
   }

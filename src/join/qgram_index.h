@@ -4,12 +4,13 @@
 #include <cassert>
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "join/filter.h"
 #include "storage/tuple_store.h"
+#include "text/gram_key_table.h"
+#include "text/gram_order.h"
 #include "text/qgram.h"
 #include "text/similarity.h"
 
@@ -50,13 +51,23 @@ struct GramPosting {
 ///    counting stays sound via the prefix-overlap argument (see
 ///    join/filter.h).
 ///
+/// Each layout keeps its posting lists in one flat gram-key table
+/// (text::GramKeyTable): the list lives in the table slot, so a probe's
+/// lookup is a multiply-shift and a short scan of adjacent slots. In
+/// the payload layout a tuple's posted grams are its ordered prefix
+/// (prefix_rule()), read from the store's prefix lane when the store
+/// holds one under this index's rule — ranked once per tuple and shared
+/// with the tuple's own probes — and ranked locally otherwise.
+///
 /// Like ExactIndex, the structure lags its TupleStore and is advanced
 /// by CatchUpWith(). The store bound by the first CatchUpWith() call
 /// must be the one all later calls pass (checked by assert).
 class QGramIndex {
  public:
   /// Plain layout: every gram posted, bare TupleId postings.
-  explicit QGramIndex(text::QGramOptions options) : options_(options) {}
+  explicit QGramIndex(text::QGramOptions options)
+      : QGramIndex(options, ApproxFilterOptions{},
+                   text::SimilarityMeasure::kJaccard, 0.85) {}
 
   /// Filter-aware layout: when `filter.any()`, postings carry payload
   /// entries; with `filter.prefix` only the g-k+1 prefix grams (under
@@ -66,8 +77,7 @@ class QGramIndex {
              text::SimilarityMeasure measure, double sim_threshold)
       : options_(options),
         filter_(std::move(filter)),
-        measure_(measure),
-        sim_threshold_(sim_threshold) {}
+        rule_{filter_.gram_order, measure, sim_threshold, filter_.prefix} {}
 
   /// Indexes store tuples [watermark, store.size()); returns how many
   /// tuples were inserted.
@@ -75,11 +85,17 @@ class QGramIndex {
 
   /// Posting list of a gram (tuples whose join attribute contains it),
   /// or nullptr if the gram is unknown. Plain layout only.
-  const std::vector<storage::TupleId>* Postings(text::GramKey key) const;
+  const std::vector<storage::TupleId>* Postings(text::GramKey key) const {
+    assert(!payload_mode() && "plain postings unavailable in payload mode");
+    return postings_.Find(key);
+  }
 
   /// Payload posting list of a gram, or nullptr if the gram is
   /// unknown. Payload layout only.
-  const std::vector<GramPosting>* PayloadPostings(text::GramKey key) const;
+  const std::vector<GramPosting>* PayloadPostings(text::GramKey key) const {
+    assert(payload_mode() && "payload postings require an enabled filter");
+    return payload_postings_.Find(key);
+  }
 
   /// True iff the index stores payload postings (some filter enabled).
   bool payload_mode() const { return filter_.any(); }
@@ -90,15 +106,20 @@ class QGramIndex {
 
   /// Similarity measure and threshold fixing each tuple's prefix
   /// length (payload layout).
-  text::SimilarityMeasure measure() const { return measure_; }
-  double sim_threshold() const { return sim_threshold_; }
+  text::SimilarityMeasure measure() const { return rule_.measure; }
+  double sim_threshold() const { return rule_.threshold; }
+
+  /// The rule a payload posting's grams are ranked and cut under: the
+  /// filter's gram order, measure and threshold, and its prefix switch.
+  const text::PrefixRule& prefix_rule() const { return rule_; }
 
   /// Installs the global gram order postings are ordered under. Only
   /// before the first insert (asserted): a tuple posted under one
   /// order and probed under another would break the prefix argument.
   void SetGramOrder(std::shared_ptr<const text::GramOrder> order) {
     assert(watermark_ == 0 && "gram order must be frozen before inserts");
-    filter_.gram_order = std::move(order);
+    filter_.gram_order = order;
+    rule_.order = std::move(order);
   }
 
   /// Frequency of a gram: number of posting entries for it. With
@@ -137,30 +158,22 @@ class QGramIndex {
   /// Extraction options.
   const text::QGramOptions& options() const { return options_; }
 
-  /// Reserves hash-table capacity for the expected tuple count (the
-  /// store's size hint), so steady catch-up does not rehash the
-  /// posting map. Distinct grams saturate well below the tuple count
-  /// on natural text, so the reservation is capped.
-  void Reserve(size_t expected_tuples);
-
   /// Rough heap footprint in bytes (§2.3: n · (|jA|+q-1) · p), covering
-  /// whichever posting layout is active — payload entries included.
-  /// Gram sets served by the store's cache are accounted there, not
-  /// here.
+  /// whichever posting layout is active — the table's slot array and
+  /// payload entries included. Gram sets and prefixes served by the
+  /// store are accounted there, not here.
   size_t ApproximateMemoryUsage() const;
 
  private:
   text::QGramOptions options_;
   ApproxFilterOptions filter_;
-  text::SimilarityMeasure measure_ = text::SimilarityMeasure::kJaccard;
-  double sim_threshold_ = 0.85;
+  /// The payload layout's ranking rule: filter_'s gram order and
+  /// prefix switch, with the predicate's measure and threshold.
+  text::PrefixRule rule_;
   /// Plain layout postings (filter_.any() == false).
-  std::unordered_map<text::GramKey, std::vector<storage::TupleId>> postings_;
+  text::GramKeyTable<std::vector<storage::TupleId>> postings_;
   /// Payload layout postings (filter_.any() == true).
-  std::unordered_map<text::GramKey, std::vector<GramPosting>>
-      payload_postings_;
-  /// Scratch for ordering a tuple's grams during payload catch-up.
-  std::vector<std::pair<uint64_t, text::GramKey>> order_scratch_;
+  text::GramKeyTable<std::vector<GramPosting>> payload_postings_;
   /// Bound store (set by the first CatchUpWith); store_backed_ records
   /// whether its gram cache serves this index's options.
   const storage::TupleStore* store_ = nullptr;

@@ -297,6 +297,21 @@ void TupleStore::MaterializeGrams(TupleId id) const {
   gram_ready_[id] = 1;
 }
 
+void TupleStore::FillPrefix(TupleId id) const {
+  assert(prefix_rule_.has_value() && "no prefix rule installed");
+  const text::GramSet& grams = Grams(id);
+  if (prefix_slots_.size() < keys_.size()) {
+    prefix_slots_.resize(keys_.size());
+  }
+  const size_t offset = prefix_positions_.size();
+  assert(offset < kUnfilled && "prefix arena outgrew 32-bit offsets");
+  text::OrderedPrefixInto(grams, *prefix_rule_, &prefix_scratch_,
+                          &prefix_positions_);
+  prefix_slots_[id] =
+      PrefixSlot{static_cast<uint32_t>(offset),
+                 static_cast<uint32_t>(prefix_positions_.size() - offset)};
+}
+
 size_t TupleStore::CountMatchedExactly() const {
   return std::accumulate(matched_exactly_.begin(), matched_exactly_.end(),
                          size_t{0});
@@ -320,6 +335,9 @@ size_t TupleStore::ApproximateMemoryUsage() const {
   }
   bytes += gram_ready_.capacity();
   bytes += gram_scratch_.capacity() * sizeof(text::GramKey);
+  bytes += prefix_slots_.capacity() * sizeof(PrefixSlot);
+  bytes += prefix_positions_.capacity() * sizeof(uint32_t);
+  bytes += prefix_scratch_.capacity() * sizeof(prefix_scratch_[0]);
   return bytes;
 }
 

@@ -3,12 +3,16 @@
 
 #include <cassert>
 #include <cstdint>
+#include <limits>
+#include <optional>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "storage/column_batch.h"
 #include "storage/key_arena.h"
 #include "storage/tuple.h"
+#include "text/gram_order.h"
 #include "text/qgram.h"
 
 namespace aqp {
@@ -43,15 +47,19 @@ using TupleId = uint32_t;
 /// - optionally the tuple's q-gram set (gram-cache mode), computed at
 ///   most once and shared by the q-gram index and the SSHJoin
 ///   candidate verifier;
+/// - optionally its *ordered prefix* (prefix lane): the grams a
+///   filtered q-gram index posts it under and a filtered probe scans,
+///   as 4-byte positions into the cached gram set, ranked once and
+///   shared by the tuple's index insert and every probe it makes;
 /// - the per-tuple "has been matched exactly at least once" flag that
 ///   §3.3 uses to attribute variants to one input, plus the
 ///   matched-at-least-once flag behind the completeness statistic.
 ///
 /// JoinKey() views and cached hashes are stable across store growth
 /// (the key arena never relocates bytes); Grams() references are
-/// stable until the next add. Payload accessors (AppendCellsTo /
-/// AppendValuesTo / GetTuple) copy bytes out, so they are unaffected
-/// by growth.
+/// stable until the next add, Prefix() views until the next prefix
+/// fill. Payload accessors (AppendCellsTo / AppendValuesTo / GetTuple)
+/// copy bytes out, so they are unaffected by growth.
 class TupleStore {
  public:
   /// Constructs a store whose join attribute is at `join_column`.
@@ -139,6 +147,44 @@ class TupleStore {
   }
   /// @}
 
+  /// \name Prefix lane (filtered SSHJoin probe artifacts).
+  /// @{
+  /// Installs the rule the lane ranks and cuts gram sets under. Only
+  /// while no prefix has been filled (asserted): a tuple posted under
+  /// one order and probed under another would break the prefix
+  /// argument. Requires gram-cache mode.
+  void SetPrefixRule(text::PrefixRule rule) {
+    assert(gram_cache_enabled_ && "the prefix lane indexes the gram cache");
+    assert(prefix_slots_.empty() && "gram order frozen after a prefix fill");
+    prefix_rule_ = std::move(rule);
+  }
+
+  /// The installed rule, or null when there is none.
+  const text::PrefixRule* prefix_rule() const {
+    return prefix_rule_.has_value() ? &*prefix_rule_ : nullptr;
+  }
+
+  /// Tuple `id`'s ordered prefix under the installed rule (required):
+  /// positions into Grams(id).grams(), ranked on first request and
+  /// memoized. The view is valid until the next fill.
+  text::PrefixView Prefix(TupleId id) const {
+    if (id >= prefix_slots_.size() ||
+        prefix_slots_[id].offset == kUnfilled) {
+      FillPrefix(id);
+    }
+    return ViewOf(prefix_slots_[id]);
+  }
+
+  /// Same, for a tuple whose prefix is already filled (asserted). Never
+  /// writes, so other threads may read while the store is frozen.
+  text::PrefixView FilledPrefix(TupleId id) const {
+    assert(id < prefix_slots_.size() &&
+           prefix_slots_[id].offset != kUnfilled &&
+           "prefix lane read before its fill");
+    return ViewOf(prefix_slots_[id]);
+  }
+  /// @}
+
   /// \name Matched-exactly flags (§3.3).
   /// @{
   bool MatchedExactly(TupleId id) const { return matched_exactly_[id] != 0; }
@@ -163,7 +209,8 @@ class TupleStore {
   /// @}
 
   /// Rough heap footprint in bytes (payload columns + arenas + key
-  /// records + gram cache + flags), for the §2.3 space analysis.
+  /// records + gram cache + prefix lane + flags), for the §2.3 space
+  /// analysis.
   size_t ApproximateMemoryUsage() const;
 
  private:
@@ -215,6 +262,23 @@ class TupleStore {
   /// Out-of-line slow path of Grams(): extract, memoize, mark ready.
   void MaterializeGrams(TupleId id) const;
 
+  /// PrefixSlot::offset of a tuple whose prefix is not filled yet.
+  static constexpr uint32_t kUnfilled = std::numeric_limits<uint32_t>::max();
+
+  /// One tuple's stretch of the prefix position arena.
+  struct PrefixSlot {
+    uint32_t offset = kUnfilled;
+    uint32_t size = 0;
+  };
+
+  text::PrefixView ViewOf(const PrefixSlot& slot) const {
+    return text::PrefixView(prefix_positions_.data() + slot.offset,
+                            slot.size);
+  }
+
+  /// Out-of-line slow path of Prefix(): rank, append, record.
+  void FillPrefix(TupleId id) const;
+
   size_t join_column_;
   KeyArena arena_;
   std::vector<KeyRecord> keys_;
@@ -237,6 +301,14 @@ class TupleStore {
   mutable std::vector<uint8_t> gram_ready_;
   /// Reusable gram-extraction scratch shared by all cache fills.
   mutable std::vector<text::GramKey> gram_scratch_;
+
+  /// Prefix lane: the rule, one slot per tuple (sized lazily, like the
+  /// gram lanes) and one flat arena of 4-byte gram positions that
+  /// prefixes are appended to in fill order.
+  std::optional<text::PrefixRule> prefix_rule_;
+  mutable std::vector<PrefixSlot> prefix_slots_;
+  mutable std::vector<uint32_t> prefix_positions_;
+  mutable std::vector<std::pair<uint64_t, uint32_t>> prefix_scratch_;
 };
 
 }  // namespace storage

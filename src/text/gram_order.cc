@@ -1,15 +1,10 @@
 #include "text/gram_order.h"
 
+#include <algorithm>
+#include <cassert>
+
 namespace aqp {
 namespace text {
-
-namespace {
-
-/// Table size of the first insert; doubled whenever it would pass half
-/// full.
-constexpr size_t kInitialSlots = 64;
-
-}  // namespace
 
 void GramOrder::AddSample(std::string_view s, const QGramOptions& options) {
   const GramSet set = GramSet::OfUsingScratch(s, options, &scratch_);
@@ -18,45 +13,43 @@ void GramOrder::AddSample(std::string_view s, const QGramOptions& options) {
 
 void GramOrder::AddFrequency(GramKey key, uint64_t count) {
   if (count == 0) return;
-  if (2 * (size_ + 1) > slots_.size()) Grow();
-  for (size_t i = SlotOf(key);; i = (i + 1) & mask_) {
-    Slot& slot = slots_[i];
-    if (slot.frequency == 0) {
-      slot.key = key;
-      slot.frequency = count;
-      ++size_;
-      return;
-    }
-    if (slot.key == key) {
-      slot.frequency += count;
-      return;
-    }
-  }
-}
-
-void GramOrder::Grow() {
-  std::vector<Slot> old = std::move(slots_);
-  const size_t capacity = old.empty() ? kInitialSlots : 2 * old.size();
-  slots_.assign(capacity, Slot{});
-  mask_ = capacity - 1;
-  shift_ = 64;
-  for (size_t c = capacity; c > 1; c >>= 1) --shift_;
-  for (const Slot& slot : old) {
-    if (slot.frequency == 0) continue;
-    size_t i = SlotOf(slot.key);
-    while (slots_[i].frequency != 0) i = (i + 1) & mask_;
-    slots_[i] = slot;
-  }
+  frequencies_.Insert(key) += count;
 }
 
 bool GramOrder::operator==(const GramOrder& other) const {
-  if (size_ != other.size_) return false;
-  for (const Slot& slot : slots_) {
-    if (slot.frequency != 0 && other.FrequencyOf(slot.key) != slot.frequency) {
-      return false;
+  if (distinct() != other.distinct()) return false;
+  bool equal = true;
+  frequencies_.ForEach([&](GramKey key, uint64_t frequency) {
+    equal = equal && other.FrequencyOf(key) == frequency;
+  });
+  return equal;
+}
+
+void OrderedPrefixInto(const GramSet& set, const PrefixRule& rule,
+                       std::vector<std::pair<uint64_t, uint32_t>>* scratch,
+                       std::vector<uint32_t>* out) {
+  const size_t g = set.size();
+  const size_t length = rule.LengthFor(g);
+  assert(length <= g);
+  if (rule.order == nullptr) {
+    // Gram-key order: grams() is already ascending.
+    for (size_t i = 0; i < length; ++i) {
+      out->push_back(static_cast<uint32_t>(i));
     }
+    return;
   }
-  return true;
+  const std::vector<GramKey>& grams = set.grams();
+  scratch->clear();
+  scratch->reserve(g);
+  for (size_t i = 0; i < g; ++i) {
+    scratch->emplace_back(rule.order->FrequencyOf(grams[i]),
+                          static_cast<uint32_t>(i));
+  }
+  // Only the kept grams need their rank; the pairs are distinct, so the
+  // partial sort yields exactly the full sort's first `length` entries.
+  const auto kept = scratch->begin() + static_cast<ptrdiff_t>(length);
+  std::partial_sort(scratch->begin(), kept, scratch->end());
+  for (auto it = scratch->begin(); it != kept; ++it) out->push_back(it->second);
 }
 
 }  // namespace text

@@ -1,12 +1,16 @@
 #ifndef AQP_TEXT_GRAM_ORDER_H_
 #define AQP_TEXT_GRAM_ORDER_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string_view>
 #include <utility>
 #include <vector>
 
+#include "text/gram_key_table.h"
 #include "text/qgram.h"
+#include "text/similarity.h"
 
 namespace aqp {
 namespace text {
@@ -45,12 +49,8 @@ class GramOrder {
 
   /// Sampled frequency of a gram (0 if never seen).
   uint64_t FrequencyOf(GramKey key) const {
-    if (size_ == 0) return 0;
-    for (size_t i = SlotOf(key);; i = (i + 1) & mask_) {
-      const Slot& slot = slots_[i];
-      if (slot.frequency == 0) return 0;
-      if (slot.key == key) return slot.frequency;
-    }
+    const uint64_t* frequency = frequencies_.Find(key);
+    return frequency == nullptr ? 0 : *frequency;
   }
 
   /// The sort key realizing the order: ascending (frequency, key) =
@@ -65,39 +65,75 @@ class GramOrder {
   }
 
   /// Distinct grams with a nonzero sampled frequency.
-  size_t distinct() const { return size_; }
+  size_t distinct() const { return frequencies_.size(); }
 
   /// Two orders are equal iff their sampled frequency tables are
   /// (however the samples were inserted).
   bool operator==(const GramOrder& other) const;
 
  private:
-  /// One slot of the open-addressed frequency table; frequency 0 marks
-  /// an empty slot, so every gram key (0 included) is storable.
-  struct Slot {
-    GramKey key = 0;
-    uint64_t frequency = 0;
-  };
-
-  /// Home slot: Fibonacci hashing onto the power-of-two table. Only
-  /// valid while the table is non-empty.
-  size_t SlotOf(GramKey key) const {
-    return static_cast<size_t>((key * 0x9e3779b97f4a7c15ULL) >> shift_);
-  }
-
-  /// Doubles the table (or creates it) and reinserts every gram.
-  void Grow();
-
-  /// Linear probing over a power-of-two table kept at most half full,
-  /// so every probe sequence reaches an empty slot. Probes look up
-  /// every gram of every probe tuple, so the table is flat: no node
-  /// allocation and no pointer chase per lookup.
-  std::vector<Slot> slots_;
-  size_t size_ = 0;
-  size_t mask_ = 0;
-  unsigned shift_ = 64;
+  /// Sampled frequencies, looked up once per gram of a tuple when its
+  /// ordered prefix is computed (OrderedPrefixInto).
+  GramKeyTable<uint64_t> frequencies_;
   std::vector<GramKey> scratch_;
 };
+
+/// \brief Which grams of a gram set a filtered q-gram index posts and a
+/// filtered probe scans: the set's grams ascending in `order` (gram-key
+/// order when null), cut to the first PrefixLengthFor() of them under
+/// prefix filtering, all of them otherwise.
+///
+/// Posting and probing under one rule is what makes the prefix and
+/// positional filters sound, so a tuple's ordered prefix is a pure
+/// function of (its gram set, the rule) and can be computed once and
+/// shared by its index insert and every probe it makes.
+struct PrefixRule {
+  std::shared_ptr<const GramOrder> order;
+  SimilarityMeasure measure = SimilarityMeasure::kJaccard;
+  double threshold = 0.85;
+  bool prefix = true;
+
+  /// Number of ordered grams the rule keeps of a set with `set_size`
+  /// grams.
+  size_t LengthFor(size_t set_size) const {
+    return prefix ? PrefixLengthFor(measure, set_size, threshold) : set_size;
+  }
+
+  /// Same order object, predicate and cut.
+  friend bool operator==(const PrefixRule& a, const PrefixRule& b) {
+    return a.order == b.order && a.measure == b.measure &&
+           a.threshold == b.threshold && a.prefix == b.prefix;
+  }
+};
+
+/// \brief A tuple's ordered prefix: positions into its GramSet's
+/// key-sorted grams(), ascending in the rule's gram order.
+class PrefixView {
+ public:
+  PrefixView() = default;
+  PrefixView(const uint32_t* positions, size_t size)
+      : positions_(positions), size_(size) {}
+
+  size_t size() const { return size_; }
+  uint32_t operator[](size_t i) const { return positions_[i]; }
+  const uint32_t* begin() const { return positions_; }
+  const uint32_t* end() const { return positions_ + size_; }
+
+ private:
+  const uint32_t* positions_ = nullptr;
+  size_t size_ = 0;
+};
+
+/// \brief Appends to `*out` the positions (into `set.grams()`) of the
+/// first `rule.LengthFor(set.size())` grams of `set` in the rule's
+/// order — the one place a gram set is ranked for the filtered index
+/// and probe. Ties in frequency fall back to key order, which is
+/// position order because grams() is key-sorted, so ranking (frequency,
+/// position) realizes the order's (frequency, key). `scratch` is
+/// reusable working memory.
+void OrderedPrefixInto(const GramSet& set, const PrefixRule& rule,
+                       std::vector<std::pair<uint64_t, uint32_t>>* scratch,
+                       std::vector<uint32_t>* out);
 
 }  // namespace text
 }  // namespace aqp

@@ -127,6 +127,16 @@ size_t MinOverlapForThreshold(SimilarityMeasure measure, size_t probe_size,
   return std::max<size_t>(1, static_cast<size_t>(k));
 }
 
+size_t PrefixLengthFor(SimilarityMeasure measure, size_t set_size,
+                       double threshold) {
+  if (set_size == 0) return 0;
+  const size_t k = MinOverlapForThreshold(measure, set_size, threshold);
+  // k is in [1, set_size] for any threshold <= 1, so the result is in
+  // [1, set_size]; clamp anyway so a pathological threshold cannot
+  // underflow.
+  return k > set_size ? 1 : set_size - k + 1;
+}
+
 size_t Levenshtein(std::string_view a, std::string_view b) {
   if (a.size() > b.size()) std::swap(a, b);  // a is the shorter
   std::vector<size_t> prev(a.size() + 1);

@@ -61,6 +61,17 @@ const char* SimilarityMeasureName(SimilarityMeasure measure);
 size_t MinOverlapForThreshold(SimilarityMeasure measure, size_t probe_size,
                               double threshold);
 
+/// \brief Number of prefix grams g - k + 1 of a gram set with
+/// `set_size` grams, where k = MinOverlapForThreshold(measure,
+/// set_size, threshold).
+///
+/// Any pair reaching the threshold overlaps in at least max of the two
+/// sides' k values, so the two prefixes must intersect (the standard
+/// prefix-overlap argument) — scanning or posting only prefix grams
+/// loses no match. Returns 0 for an empty set.
+size_t PrefixLengthFor(SimilarityMeasure measure, size_t set_size,
+                       double threshold);
+
 /// \name Edit-based similarity (used by the data generator & tests).
 /// @{
 

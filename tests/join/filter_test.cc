@@ -91,11 +91,11 @@ TEST(PrefixLengthTest, MatchesInsertPhaseRule) {
       for (double theta : {0.5, 0.85, 1.0}) {
         const size_t k = text::MinOverlapForThreshold(measure, g, theta);
         ASSERT_LE(k, g);
-        EXPECT_EQ(PrefixLengthFor(measure, g, theta), g - k + 1);
+        EXPECT_EQ(text::PrefixLengthFor(measure, g, theta), g - k + 1);
       }
     }
   }
-  EXPECT_EQ(PrefixLengthFor(SimilarityMeasure::kJaccard, 0, 0.85), 0u);
+  EXPECT_EQ(text::PrefixLengthFor(SimilarityMeasure::kJaccard, 0, 0.85), 0u);
 }
 
 TEST(MinPairOverlapTest, SmallestPassingOverlap) {

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "join/filter.h"
@@ -14,6 +17,7 @@ namespace join {
 namespace {
 
 using storage::Tuple;
+using storage::TupleId;
 using storage::TupleStore;
 using storage::Value;
 
@@ -195,7 +199,7 @@ TEST(QGramIndexPayloadTest, PostingsCarryCountAndPosition) {
   std::sort(ordered.begin(), ordered.end());
   const size_t g = ordered.size();
   const size_t prefix =
-      PrefixLengthFor(text::SimilarityMeasure::kJaccard, g, 0.85);
+      text::PrefixLengthFor(text::SimilarityMeasure::kJaccard, g, 0.85);
   ASSERT_LT(prefix, g);
 
   for (size_t j = 0; j < g; ++j) {
@@ -252,8 +256,8 @@ TEST(QGramIndexPayloadTest, IncrementalCatchUpMatchesFreshBuild) {
   EXPECT_EQ(incremental.watermark(), fresh.watermark());
   EXPECT_EQ(incremental.distinct_grams(), fresh.distinct_grams());
   for (size_t i = 0; i < values.size(); ++i) {
-    for (text::GramKey key :
-         text::GramSet::Of(values[i], Q3()).grams()) {
+    const text::GramSet set = text::GramSet::Of(values[i], Q3());
+    for (text::GramKey key : set.grams()) {
       const auto* a = incremental.PayloadPostings(key);
       const auto* b = fresh.PayloadPostings(key);
       ASSERT_EQ(a == nullptr, b == nullptr);
@@ -303,20 +307,195 @@ TEST(QGramIndexPayloadTest, PrefixIndexingShrinksMemory) {
             full.ApproximateMemoryUsage());
 }
 
-TEST(QGramIndexTest, ReservePreallocatesBuckets) {
+TEST(QGramIndexTest, FlatPostingTableMatchesReference) {
+  // Both layouts keep their lists in the flat gram-key table. Indexed
+  // far past the table's first size (several rehashes), every gram's
+  // list must equal a reference built from the tuples' gram sets, in
+  // insertion order; unknown grams have no list, and key 0 (three NUL
+  // bytes) is an ordinary gram.
   TupleStore store(0);
-  QGramIndex index(Q3());
-  index.Reserve(5000);
-  const size_t reserved_footprint = index.ApproximateMemoryUsage();
-  store.Add(Tuple{Value("SANTA CRISTINA VALGARDENA")});
-  index.CatchUpWith(store);
-  // The bucket array was charged up front; indexing one tuple must not
-  // have rehashed below it, and lookups behave normally.
-  EXPECT_GE(index.ApproximateMemoryUsage(), reserved_footprint);
-  const auto set = text::GramSet::Of("SANTA CRISTINA VALGARDENA", Q3());
-  for (text::GramKey key : set.grams()) {
-    EXPECT_EQ(index.Frequency(key), 1u);
+  std::vector<std::string> values = {std::string(5, '\0'),
+                                     std::string("A\0\0\0B", 5)};
+  for (int i = 0; i < 600; ++i) {
+    values.push_back("ROW " + std::to_string(i * 7919) + " VIA " +
+                     std::to_string(i % 37));
   }
+  for (const std::string& v : values) store.Add(Tuple{Value(v)});
+
+  QGramIndex plain(Q3());
+  QGramIndex payload(Q3(), ApproxFilterOptions::Full(),
+                     text::SimilarityMeasure::kJaccard, 0.85);
+  ApproxFilterOptions no_prefix = ApproxFilterOptions::Full();
+  no_prefix.prefix = false;
+  QGramIndex all_grams(Q3(), no_prefix, text::SimilarityMeasure::kJaccard,
+                       0.85);
+  // Catch up in uneven chunks: rehashes land between and inside calls.
+  TupleStore growing(0);
+  for (size_t i = 0; i < values.size(); ++i) {
+    growing.Add(Tuple{Value(values[i])});
+    if (i % 97 == 0 || i + 1 == values.size()) {
+      plain.CatchUpWith(growing);
+      all_grams.CatchUpWith(growing);
+    }
+  }
+  payload.CatchUpWith(store);
+
+  std::map<text::GramKey, std::vector<TupleId>> reference;
+  for (size_t i = 0; i < values.size(); ++i) {
+    const text::GramSet set = text::GramSet::Of(values[i], Q3());
+    for (text::GramKey key : set.grams()) {
+      reference[key].push_back(static_cast<TupleId>(i));
+    }
+  }
+  ASSERT_GT(reference.size(), 256u);
+  ASSERT_EQ(reference.count(0), 1u);
+  EXPECT_EQ(plain.distinct_grams(), reference.size());
+  EXPECT_EQ(all_grams.distinct_grams(), reference.size());
+  for (const auto& [key, ids] : reference) {
+    const std::vector<TupleId>* postings = plain.Postings(key);
+    ASSERT_NE(postings, nullptr) << key;
+    EXPECT_EQ(*postings, ids) << key;
+    EXPECT_EQ(plain.Frequency(key), ids.size());
+    const std::vector<GramPosting>* payload_postings =
+        all_grams.PayloadPostings(key);
+    ASSERT_NE(payload_postings, nullptr) << key;
+    ASSERT_EQ(payload_postings->size(), ids.size());
+    for (size_t j = 0; j < ids.size(); ++j) {
+      EXPECT_EQ((*payload_postings)[j].id, ids[j]);
+    }
+    EXPECT_EQ(all_grams.Frequency(key), ids.size());
+    // The prefix layout posts a subset of each list.
+    EXPECT_LE(payload.Frequency(key), ids.size());
+  }
+  const text::GramKey unknown = text::GramSet::Of("QQQ", Q3()).grams()[0];
+  ASSERT_EQ(reference.count(unknown), 0u);
+  EXPECT_EQ(plain.Postings(unknown), nullptr);
+  EXPECT_EQ(plain.Frequency(unknown), 0u);
+  EXPECT_EQ(payload.PayloadPostings(unknown), nullptr);
+  EXPECT_EQ(payload.Frequency(unknown), 0u);
+  EXPECT_LT(payload.distinct_grams(), reference.size());
+  EXPECT_GT(payload.distinct_grams(), 0u);
+}
+
+/// Payload postings as the full-sort insert built them: each tuple's
+/// grams ranked by (sampled frequency, key), the first g-k+1 (all g
+/// without prefix filtering) posted with the tuple's gram count and
+/// the gram's rank.
+std::map<text::GramKey, std::vector<GramPosting>> FullSortPostings(
+    const std::vector<std::string>& values, const text::GramOrder& order,
+    bool prefix) {
+  std::map<text::GramKey, std::vector<GramPosting>> postings;
+  for (size_t id = 0; id < values.size(); ++id) {
+    const text::GramSet set = text::GramSet::Of(values[id], Q3());
+    std::vector<std::pair<uint64_t, text::GramKey>> ranked;
+    for (text::GramKey key : set.grams()) {
+      ranked.emplace_back(order.FrequencyOf(key), key);
+    }
+    std::sort(ranked.begin(), ranked.end());
+    const size_t g = set.size();
+    const size_t posted =
+        prefix ? text::PrefixLengthFor(text::SimilarityMeasure::kJaccard, g,
+                                       0.85)
+               : g;
+    for (size_t j = 0; j < posted; ++j) {
+      postings[ranked[j].second].push_back(
+          GramPosting{static_cast<TupleId>(id), static_cast<uint32_t>(g),
+                      static_cast<uint32_t>(j)});
+    }
+  }
+  return postings;
+}
+
+TEST(QGramIndexTest, LanePostingsMatchFullSortInsert) {
+  // A payload index fed by its store's prefix lane posts exactly what
+  // ranking every tuple's whole gram set did: same grams, and per gram
+  // the same {id, gram_count, position} entries in the same order. So
+  // does the lane-less fallback (a store without a gram cache).
+  std::vector<std::string> values;
+  for (int i = 0; i < 400; ++i) {
+    values.push_back("VIA " + std::to_string((i * 7919) % 1000) +
+                     (i % 3 == 0 ? " SANTA CRISTINA" : " SAN MARTINO") +
+                     std::to_string(i % 11));
+  }
+  values.push_back("A");
+  auto order = std::make_shared<text::GramOrder>();
+  for (size_t i = 0; i < values.size(); i += 4) {
+    order->AddSample(values[i], Q3());
+  }
+  for (const bool prefix : {true, false}) {
+    ApproxFilterOptions filter = ApproxFilterOptions::Full();
+    filter.prefix = prefix;
+    filter.gram_order = order;
+    QGramIndex laned(Q3(), filter, text::SimilarityMeasure::kJaccard, 0.85);
+    QGramIndex local(Q3(), filter, text::SimilarityMeasure::kJaccard, 0.85);
+    TupleStore lane_store(0, Q3());
+    lane_store.SetPrefixRule(laned.prefix_rule());
+    TupleStore plain_store(0);
+    for (size_t i = 0; i < values.size(); ++i) {
+      lane_store.Add(Tuple{Value(values[i])});
+      plain_store.Add(Tuple{Value(values[i])});
+      if (i % 50 == 0) {
+        laned.CatchUpWith(lane_store);
+        local.CatchUpWith(plain_store);
+      }
+    }
+    laned.CatchUpWith(lane_store);
+    local.CatchUpWith(plain_store);
+
+    const auto reference = FullSortPostings(values, *order, prefix);
+    for (const QGramIndex* index : {&laned, &local}) {
+      EXPECT_EQ(index->distinct_grams(), reference.size());
+      for (const auto& [key, want] : reference) {
+        const std::vector<GramPosting>* got = index->PayloadPostings(key);
+        ASSERT_NE(got, nullptr) << key;
+        ASSERT_EQ(got->size(), want.size()) << key;
+        for (size_t j = 0; j < want.size(); ++j) {
+          EXPECT_EQ((*got)[j].id, want[j].id);
+          EXPECT_EQ((*got)[j].gram_count, want[j].gram_count);
+          EXPECT_EQ((*got)[j].position, want[j].position);
+        }
+      }
+    }
+    // The insert ranked through the lane, which now holds every
+    // tuple's prefix.
+    for (TupleId id = 0; id < lane_store.size(); ++id) {
+      EXPECT_EQ(lane_store.FilledPrefix(id).size(),
+                laned.prefix_rule().LengthFor(lane_store.Grams(id).size()));
+    }
+  }
+}
+
+TEST(QGramIndexTest, MemoryUsageCountsSlotTable) {
+  // The flat table keeps at least two slots per distinct gram, each a
+  // key plus a list header; the footprint must cover them on top of
+  // the posting entries.
+  TupleStore store(0);
+  for (int i = 0; i < 300; ++i) {
+    store.Add(Tuple{Value("ROW " + std::to_string(i * 104729))});
+  }
+  QGramIndex plain(Q3());
+  plain.CatchUpWith(store);
+  QGramIndex payload(Q3(), ApproxFilterOptions::Full(),
+                     text::SimilarityMeasure::kJaccard, 0.85);
+  payload.CatchUpWith(store);
+  const size_t plain_slot =
+      sizeof(text::GramKey) + sizeof(std::vector<TupleId>);
+  const size_t payload_slot =
+      sizeof(text::GramKey) + sizeof(std::vector<GramPosting>);
+  size_t plain_entries = 0;
+  size_t payload_entries = 0;
+  for (TupleId id = 0; id < store.size(); ++id) {
+    const size_t g = plain.GramSetSize(id);
+    plain_entries += g;
+    payload_entries +=
+        text::PrefixLengthFor(text::SimilarityMeasure::kJaccard, g, 0.85);
+  }
+  EXPECT_GE(plain.ApproximateMemoryUsage(),
+            2 * plain.distinct_grams() * plain_slot +
+                plain_entries * sizeof(TupleId));
+  EXPECT_GE(payload.ApproximateMemoryUsage(),
+            2 * payload.distinct_grams() * payload_slot +
+                payload_entries * sizeof(GramPosting));
 }
 
 }  // namespace

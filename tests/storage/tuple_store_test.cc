@@ -2,11 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/hash.h"
+#include "text/gram_order.h"
 
 namespace aqp {
 namespace storage {
@@ -121,6 +124,78 @@ TEST(TupleStoreTest, GramCacheMemoizedAndAccounted) {
   EXPECT_EQ(&store.Grams(id), &grams);
   // The cached set's bytes are part of the store's §2.3 footprint.
   EXPECT_GT(store.ApproximateMemoryUsage(), before);
+}
+
+TEST(TupleStorePrefixLaneTest, PrefixIsRankedOnceInAnyFillOrder) {
+  text::QGramOptions q3;
+  TupleStore store(0, q3);
+  EXPECT_EQ(store.prefix_rule(), nullptr);
+  std::vector<std::string> keys;
+  for (int i = 0; i < 60; ++i) {
+    keys.push_back("VIA " + std::to_string(i * 37) + " SANTA CRISTINA " +
+                   std::to_string(i % 7));
+    store.Add(Tuple{Value(keys.back())});
+  }
+  store.Add(Tuple{Value("")});  // with padding: 2 grams
+  auto order = std::make_shared<text::GramOrder>();
+  for (size_t i = 0; i < keys.size(); i += 3) order->AddSample(keys[i], q3);
+  for (const bool prefix : {true, false}) {
+    TupleStore lane(0, q3);
+    for (const std::string& key : keys) lane.Add(Tuple{Value(key)});
+    lane.Add(Tuple{Value("")});
+    const text::PrefixRule rule{order, text::SimilarityMeasure::kJaccard,
+                                0.85, prefix};
+    lane.SetPrefixRule(rule);
+    ASSERT_NE(lane.prefix_rule(), nullptr);
+    EXPECT_TRUE(*lane.prefix_rule() == rule);
+    const size_t before = lane.ApproximateMemoryUsage();
+    // Fill out of id order (as probes and catch-ups do), then read
+    // every prefix back through both accessors.
+    std::vector<std::vector<uint32_t>> want(lane.size());
+    std::vector<std::pair<uint64_t, uint32_t>> scratch;
+    size_t positions = 0;
+    for (size_t n = 0; n < lane.size(); ++n) {
+      const auto id = static_cast<TupleId>((n * 7) % lane.size());
+      text::OrderedPrefixInto(lane.Grams(id), rule, &scratch, &want[id]);
+      const text::PrefixView view = lane.Prefix(id);
+      EXPECT_EQ(std::vector<uint32_t>(view.begin(), view.end()), want[id]);
+      positions += want[id].size();
+    }
+    for (TupleId id = 0; id < lane.size(); ++id) {
+      const text::PrefixView filled = lane.FilledPrefix(id);
+      EXPECT_EQ(std::vector<uint32_t>(filled.begin(), filled.end()),
+                want[id]);
+      const text::PrefixView again = lane.Prefix(id);
+      EXPECT_EQ(again.begin(), filled.begin()) << "prefix re-ranked";
+      if (!prefix) EXPECT_EQ(filled.size(), lane.Grams(id).size());
+    }
+    // The lane's slots and positions count in the store's footprint.
+    EXPECT_GE(lane.ApproximateMemoryUsage(),
+              before + lane.size() * 2 * sizeof(uint32_t) +
+                  positions * sizeof(uint32_t));
+  }
+}
+
+TEST(TupleStorePrefixLaneTest, OrderIsFrozenByTheFirstFill) {
+  text::QGramOptions q3;
+  TupleStore store(0, q3);
+  store.Add(Tuple{Value("SANTA CRISTINA")});
+  store.Add(Tuple{Value("SANTA MARIA")});
+  const text::PrefixRule rule{nullptr, text::SimilarityMeasure::kJaccard,
+                              0.85, true};
+  // Re-installing before any fill is allowed (the engine installs its
+  // sampled order after constructing with none).
+  store.SetPrefixRule(rule);
+  store.SetPrefixRule(rule);
+  EXPECT_EQ(store.Prefix(1).size(),
+            text::PrefixLengthFor(text::SimilarityMeasure::kJaccard,
+                                  store.Grams(1).size(), 0.85));
+  // After a fill, another order would mix two orders in one lane.
+  EXPECT_DEBUG_DEATH(store.SetPrefixRule(rule), "frozen");
+#ifndef NDEBUG
+  // The read-only accessor never fills.
+  EXPECT_DEATH(store.FilledPrefix(0), "before its fill");
+#endif
 }
 
 TEST(TupleStoreTest, PlainStoreHasNoGramCache) {

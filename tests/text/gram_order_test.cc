@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <random>
 #include <string>
 #include <utility>
@@ -123,6 +124,101 @@ TEST(FlatGramOrderTest, EqualityIgnoresInsertionOrder) {
   EXPECT_FALSE(extra == forward);
   EXPECT_TRUE(GramOrder() == GramOrder());
   EXPECT_FALSE(GramOrder() == forward);
+}
+
+/// The ordered prefix by definition: every gram ranked by (frequency,
+/// key), the first `length` kept, as positions into grams().
+std::vector<uint32_t> FullSortPrefix(const GramSet& set,
+                                     const GramOrder* order, size_t length) {
+  std::vector<std::pair<std::pair<uint64_t, GramKey>, uint32_t>> ranked;
+  for (size_t i = 0; i < set.size(); ++i) {
+    const GramKey key = set.grams()[i];
+    ranked.push_back({{order != nullptr ? order->FrequencyOf(key) : 0, key},
+                      static_cast<uint32_t>(i)});
+  }
+  std::sort(ranked.begin(), ranked.end());
+  std::vector<uint32_t> prefix;
+  for (size_t i = 0; i < length; ++i) prefix.push_back(ranked[i].second);
+  return prefix;
+}
+
+TEST(OrderedPrefixTest, MatchesFullSortForRandomSetsAndOrders) {
+  // Random strings over a small alphabet holding NUL (gram key 0 at
+  // q = 1 and as "\0\0\0" at q = 3), random partial orders (grams left
+  // unsampled rank by key behind frequency 0, and few distinct
+  // frequencies make ties common), every measure, prefix cuts from one
+  // gram to all g, and the non-prefix rule.
+  std::mt19937 rng(11);
+  const std::string alphabet("\0\1ABCDE xyz", 11);
+  const SimilarityMeasure measures[] = {
+      SimilarityMeasure::kJaccard, SimilarityMeasure::kDice,
+      SimilarityMeasure::kCosine, SimilarityMeasure::kOverlap};
+  size_t saw_key_zero = 0, saw_single = 0, saw_whole_prefix = 0,
+         saw_short_prefix = 0;
+  std::vector<std::pair<uint64_t, uint32_t>> scratch;
+  for (int trial = 0; trial < 400; ++trial) {
+    QGramOptions options;
+    options.q = 1 + trial % 4;
+    options.pad = trial % 3 != 0;
+    std::string s;
+    const size_t length = rng() % 24;
+    for (size_t i = 0; i < length; ++i) s += alphabet[rng() % alphabet.size()];
+    const GramSet set = GramSet::Of(s, options);
+    auto order = std::make_shared<GramOrder>();
+    for (GramKey key : set.grams()) {
+      if (rng() % 3 != 0) order->AddFrequency(key, 1 + rng() % 3);
+    }
+    if (set.Contains(0)) ++saw_key_zero;
+    if (set.size() == 1) ++saw_single;
+    for (const SimilarityMeasure measure : measures) {
+      for (const double threshold : {0.0, 0.5, 0.85, 1.0}) {
+        for (const bool prefix : {true, false}) {
+          for (const bool sampled : {true, false}) {
+            const PrefixRule rule{sampled ? order : nullptr, measure,
+                                  threshold, prefix};
+            const size_t kept = rule.LengthFor(set.size());
+            ASSERT_LE(kept, set.size());
+            if (prefix && set.size() > 1) {
+              ++(kept == set.size() ? saw_whole_prefix : saw_short_prefix);
+            }
+            // Appends after whatever the output already holds.
+            std::vector<uint32_t> got = {99};
+            OrderedPrefixInto(set, rule, &scratch, &got);
+            std::vector<uint32_t> want = {99};
+            const std::vector<uint32_t> reference =
+                FullSortPrefix(set, rule.order.get(), kept);
+            want.insert(want.end(), reference.begin(), reference.end());
+            ASSERT_EQ(got, want) << "trial " << trial << " q " << options.q;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(saw_key_zero, 0u);
+  EXPECT_GT(saw_single, 0u);
+  EXPECT_GT(saw_whole_prefix, 0u);
+  EXPECT_GT(saw_short_prefix, 0u);
+}
+
+TEST(OrderedPrefixTest, RuleEqualityIsByOrderObjectAndCut) {
+  auto order = std::make_shared<GramOrder>();
+  const PrefixRule rule{order, SimilarityMeasure::kJaccard, 0.85, true};
+  EXPECT_TRUE(rule == (PrefixRule{order, SimilarityMeasure::kJaccard, 0.85,
+                                  true}));
+  // An equal but distinct order object is another rule: the lane and
+  // the index must share the one frozen order.
+  EXPECT_FALSE(rule == (PrefixRule{std::make_shared<GramOrder>(),
+                                   SimilarityMeasure::kJaccard, 0.85, true}));
+  EXPECT_FALSE(rule ==
+               (PrefixRule{order, SimilarityMeasure::kDice, 0.85, true}));
+  EXPECT_FALSE(rule ==
+               (PrefixRule{order, SimilarityMeasure::kJaccard, 0.8, true}));
+  EXPECT_FALSE(rule ==
+               (PrefixRule{order, SimilarityMeasure::kJaccard, 0.85, false}));
+  EXPECT_EQ((PrefixRule{order, SimilarityMeasure::kJaccard, 0.85, false})
+                .LengthFor(17),
+            17u);
+  EXPECT_EQ(rule.LengthFor(0), 0u);
 }
 
 }  // namespace

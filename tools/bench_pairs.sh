@@ -3,27 +3,35 @@
 #
 #   tools/bench_pairs.sh BASE NEW [--workload paper_mar] [--seed 1]
 #                        [--pairs 10] [--seconds 45] [--metric rows_per_cpu_s]
+#   tools/bench_pairs.sh BASE NEW --counters [--workload paper_mar] [--seed 1]
 #
-# Each revision is checked out into its own detached git worktree under
+# Each revision is exported (git archive) into its own directory under
 # ${TMPDIR:-/tmp} and built there by its own perfbench/run.py (Release,
-# into the worktree's .bench_build/). One uncounted warm-up run per side
-# (same window) builds the binary and checks the answers; then N pairs
-# run with the same workload, seed and window, alternating which side
-# goes first. The script prints every pair, each side's median and
+# into the directory's .bench_build/). One uncounted warm-up run per
+# side (same window) builds the binary and checks the answers; then N
+# pairs run with the same workload, seed and window, alternating which
+# side goes first. The script prints every pair, each side's median and
 # quartiles of the metric, the share of pairs NEW wins (ties count for
 # neither side), and whether the gain rule holds: NEW wins at least
 # nine tenths of the pairs and the medians differ by more than BASE's
 # interquartile range. The metric's direction comes from NEW's
 # BENCHMARK.json.
 #
+# --counters instead runs one traced pass (--trace 1) per revision and
+# compares the work counters that a change making the same work cheaper
+# must keep: join.*, adaptive.steps.*, adaptive.transitions,
+# adaptive.catchup_tuples and exec.parallel.epochs. It prints each
+# counter of both sides and exits non-zero on any difference (or on a
+# wrong answer); timings are not compared.
+#
 # Runs are sequential and each perfbench process uses the host's CPUs,
 # so nothing else should run meanwhile. perfbench/ and BENCHMARK.json
-# are only read. The worktrees are removed on exit.
+# are only read. The exported trees are removed on exit.
 
 set -euo pipefail
 
 usage() {
-  sed -n '2,5p' "$0" >&2
+  sed -n '2,6p' "$0" >&2
   exit 2
 }
 
@@ -36,7 +44,13 @@ seed=1
 pairs=10
 seconds=45
 metric=rows_per_cpu_s
+counters=0
 while [[ $# -gt 0 ]]; do
+  if [[ $1 == --counters ]]; then
+    counters=1
+    shift
+    continue
+  fi
   case $1 in
     --workload) workload=$2 ;;
     --seed) seed=$2 ;;
@@ -50,19 +64,17 @@ while [[ $# -gt 0 ]]; do
 done
 
 repo=$(git rev-parse --show-toplevel)
+base_id=$(git -C "$repo" rev-parse --short "$base_rev^{commit}")
+new_id=$(git -C "$repo" rev-parse --short "$new_rev^{commit}")
 work=$(mktemp -d "${TMPDIR:-/tmp}/bench_pairs.XXXXXX")
-cleanup() {
-  for side in base new; do
-    if [[ -d $work/$side ]]; then
-      git -C "$repo" worktree remove --force "$work/$side" || true
-    fi
-  done
-  rm -rf "$work"
-}
-trap cleanup EXIT
+trap 'rm -rf "$work"' EXIT
 
-git -C "$repo" worktree add --quiet --detach "$work/base" "$base_rev"
-git -C "$repo" worktree add --quiet --detach "$work/new" "$new_rev"
+for side in base new; do
+  rev=$base_rev
+  [[ $side == new ]] && rev=$new_rev
+  mkdir "$work/$side"
+  git -C "$repo" archive "$rev" | tar -x -C "$work/$side"
+done
 
 # Prints the metric's value from one run of `side`; a failed build,
 # self-test or correctness check stops the script.
@@ -84,8 +96,46 @@ print(result["metrics"][sys.argv[2]]["value"])
 ' "$out" "$metric"
 }
 
-echo "base $(git -C "$work/base" rev-parse --short HEAD)," \
-     "new $(git -C "$work/new" rev-parse --short HEAD):" \
+if ((counters)); then
+  echo "base $base_id, new $new_id: $workload seed $seed, work counters" \
+       "of one traced pass"
+  for side in base new; do
+    (cd "$work/$side" &&
+     python3 perfbench/run.py --workload "$workload" --seed "$seed" \
+       --seconds 5 --trace 1 2>>"$work/$side.log" | tail -n 1) \
+      >"$work/$side.json" || {
+      echo "bench_pairs: $side traced run failed; see its log:" >&2
+      tail -n 20 "$work/$side.log" >&2
+      exit 1
+    }
+  done
+  python3 - "$work/base.json" "$work/new.json" <<'EOF'
+import json
+import re
+import sys
+
+COUNTERS = re.compile(r"join\..*|adaptive\.steps\..*|adaptive\.transitions"
+                      r"|adaptive\.catchup_tuples|exec\.parallel\.epochs")
+base, new = (json.load(open(path)) for path in sys.argv[1:3])
+for name, result in (("base", base), ("new", new)):
+    if not result.get("correct", False):
+        sys.exit("bench_pairs: %s gave a wrong answer" % name)
+names = sorted(n for n in set(base["metrics"]) | set(new["metrics"])
+               if COUNTERS.fullmatch(n))
+differ = 0
+for name in names:
+    b = base["metrics"].get(name, {}).get("value")
+    n = new["metrics"].get(name, {}).get("value")
+    same = b == n
+    differ += not same
+    print("%-36s %18s %18s  %s" % (name, b, n, "same" if same else "DIFFERS"))
+print("%d of %d counters differ" % (differ, len(names)))
+sys.exit(1 if differ or not names else 0)
+EOF
+  exit 0
+fi
+
+echo "base $base_id, new $new_id:" \
      "$workload seed $seed, $pairs pairs of ${seconds} s, $metric"
 for side in base new; do
   run_side "$side" "$seconds" >/dev/null
