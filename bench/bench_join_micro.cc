@@ -1,17 +1,25 @@
 // Micro-benchmarks and ablations beyond the paper's tables: end-to-end
-// operator throughput, the §2.3 space model, and the interleave-policy
-// ablation called out in DESIGN.md §8.
+// operator throughput, the §2.3 space model, the interleave-policy
+// ablation called out in DESIGN.md §8, and the PrefetchSource drain.
 //
 //   $ ./bench_join_micro
 
 #include <benchmark/benchmark.h>
 
+#include <map>
+#include <sstream>
+#include <string>
+#include <utility>
+
 #include "adaptive/adaptive_join.h"
 #include "bench_support.h"
 #include "datagen/generator.h"
+#include "exec/csv_io.h"
+#include "exec/prefetch.h"
 #include "exec/scan.h"
 #include "join/shjoin.h"
 #include "join/sshjoin.h"
+#include "storage/relation_io.h"
 
 namespace {
 
@@ -333,6 +341,64 @@ void BM_IndexSpaceModel(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_IndexSpaceModel)->Iterations(1);
+
+/// CSV text of both relations of a case, serialized once and reparsed
+/// by CsvSource every iteration.
+const std::pair<std::string, std::string>& SharedCsv(size_t scale) {
+  static std::map<size_t, std::pair<std::string, std::string>> texts;
+  auto it = texts.find(scale);
+  if (it == texts.end()) {
+    const datagen::TestCase& tc = SharedCase(scale);
+    std::ostringstream child, parent;
+    storage::WriteRelationCsv(tc.child, &child);
+    storage::WriteRelationCsv(tc.parent, &parent);
+    it = texts.emplace(scale, std::make_pair(child.str(), parent.str()))
+             .first;
+  }
+  return it->second;
+}
+
+/// Drains a CSV parse through PrefetchSource (a producer thread
+/// overlaps the parse with the drain) vs straight through. No join —
+/// this isolates the source wrapper's overhead.
+void BM_CsvDrain_Prefetch(benchmark::State& state) {
+  const auto scale = static_cast<size_t>(state.range(0));
+  const bool prefetch = state.range(1) != 0;
+  const datagen::TestCase& tc = SharedCase(scale);
+  const auto& csv = SharedCsv(scale);
+  for (auto _ : state) {
+    exec::CsvSource source(tc.child.schema(), csv.first);
+    exec::Operator* drained = &source;
+    exec::PrefetchSource wrapper(&source);
+    if (prefetch) drained = &wrapper;
+    if (!drained->Open().ok()) {
+      state.SkipWithError("open failed");
+      return;
+    }
+    storage::ColumnBatch batch(&drained->output_schema());
+    size_t rows = 0;
+    while (true) {
+      if (!drained->NextColumnBatch(&batch).ok()) {
+        state.SkipWithError("drain failed");
+        return;
+      }
+      if (batch.empty()) break;
+      rows += batch.size();
+    }
+    if (!drained->Close().ok()) {
+      state.SkipWithError("close failed");
+      return;
+    }
+    benchmark::DoNotOptimize(rows);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(tc.child.size()));
+}
+BENCHMARK(BM_CsvDrain_Prefetch)
+    ->ArgsProduct({{2000, 4000}, {0, 1}})
+    ->ArgNames({"scale", "prefetch"})
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -60,10 +60,6 @@ inline constexpr char kCsvRead[] = "csv.read";
 inline constexpr char kScanNext[] = "scan.next";
 /// RadixExchange::RouteEpoch entry (routing/ingest failure).
 inline constexpr char kExchangeRoute[] = "exchange.route";
-/// RadixExchange::StageEpoch entry (pipelined route-ahead of the next
-/// epoch; fires on the ingest task, so a fault here must discard the
-/// staged epoch without touching the committed one).
-inline constexpr char kExchangeStage[] = "exchange.stage";
 /// PrefetchSource producer body, per background refill (overlapped
 /// source parse for the single-threaded path).
 inline constexpr char kIngestPrefetch[] = "ingest.prefetch";

@@ -2,6 +2,7 @@
 
 #if AQP_LOCK_ORDER
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
@@ -81,13 +82,25 @@ Graph& G() {
   return *graph;
 }
 
-/// The calling thread's held-lock stack, in acquisition order.
-thread_local std::vector<uint64_t>* tl_held = nullptr;
+/// Most locks one thread may hold at once.
+constexpr size_t kMaxHeld = 64;
 
-std::vector<uint64_t>& Held() {
-  if (tl_held == nullptr) tl_held = new std::vector<uint64_t>();
-  return *tl_held;
-}
+/// A thread's held-lock stack, in acquisition order. A fixed array in
+/// trivially destructible thread-local storage: nothing is allocated,
+/// so a thread that exits leaks nothing, and the stack stays usable
+/// for locks taken by other thread-local destructors while the thread
+/// exits (its storage lives until the thread is gone).
+struct HeldStack {
+  uint64_t ids[kMaxHeld];
+  size_t size;
+
+  const uint64_t* begin() const { return ids; }
+  const uint64_t* end() const { return ids + size; }
+};
+
+thread_local HeldStack tl_held;
+
+HeldStack& Held() { return tl_held; }
 
 const char* NameLocked(const Graph& g, uint64_t id) {
   auto it = g.names.find(id);
@@ -192,8 +205,8 @@ void Unregister(uint64_t id) {
 }
 
 void BeforeAcquire(uint64_t id) {
-  std::vector<uint64_t>& held = Held();
-  if (held.empty()) return;  // no ordering constraint to record
+  const HeldStack& held = Held();
+  if (held.size == 0) return;  // no ordering constraint to record
   Graph& g = G();
   std::lock_guard<std::mutex> lock(g.mu);
   for (uint64_t h : held) {
@@ -211,14 +224,25 @@ void BeforeAcquire(uint64_t id) {
   }
 }
 
-void AfterAcquire(uint64_t id) { Held().push_back(id); }
+void AfterAcquire(uint64_t id) {
+  HeldStack& held = Held();
+  if (held.size == kMaxHeld) {
+    std::fprintf(stderr,
+                 "\n[lock_order] one thread holds more than %zu locks; "
+                 "raise kMaxHeld.\n",
+                 kMaxHeld);
+    std::abort();
+  }
+  held.ids[held.size++] = id;
+}
 
 void BeforeRelease(uint64_t id) {
-  std::vector<uint64_t>& held = Held();
+  HeldStack& held = Held();
   // Out-of-order release is legal; drop the most recent occurrence.
-  for (size_t i = held.size(); i-- > 0;) {
-    if (held[i] == id) {
-      held.erase(held.begin() + static_cast<std::ptrdiff_t>(i));
+  for (size_t i = held.size; i-- > 0;) {
+    if (held.ids[i] == id) {
+      std::copy(held.ids + i + 1, held.ids + held.size, held.ids + i);
+      --held.size;
       return;
     }
   }
@@ -234,7 +258,7 @@ size_t EdgeCountForTest() {
   return edges;
 }
 
-size_t HeldCountForTest() { return Held().size(); }
+size_t HeldCountForTest() { return Held().size; }
 
 }  // namespace lock_order
 }  // namespace sync

@@ -36,9 +36,8 @@ struct BudgetLimits {
 /// locking and no tree walk.
 ///
 /// Refreshes are driven from the cheap quiescent points the engine
-/// already owns: epoch control points (coordinator refreshes its
-/// query's shard nodes from ApproximateMemoryUsage()) and ingest batch
-/// refills (the staging task reports the staged tier it just filled).
+/// already owns: epoch control points, where the coordinator refreshes
+/// its query's nodes from the ApproximateMemoryUsage() figures.
 /// The figures are therefore bounded-stale between control points —
 /// accounting, not malloc interception.
 ///

@@ -39,11 +39,6 @@ void RadixExchange::Reset() {
   }
   steps_ = 0;
   source_retries_ = 0;
-  for (size_t i = 0; i < 2; ++i) {
-    pub_side_count_[i] = 0;
-    pub_done_[i] = false;
-  }
-  pub_steps_ = 0;
 }
 
 Status RadixExchange::RefillOnce(exec::Side side) {
@@ -81,42 +76,6 @@ Status RadixExchange::Refill(exec::Side side) {
   return status;
 }
 
-Result<uint64_t> RadixExchange::RouteEpoch(
-    uint64_t max_steps, const std::vector<JoinShard*>& shards,
-    std::vector<RouteEntry>* route) {
-  AQP_FAILPOINT(fail::site::kExchangeRoute);
-  Result<uint64_t> routed = RouteLoop(max_steps, shards, route, false);
-  // Serial ingest publishes immediately — including after a mid-epoch
-  // error, so HandleEpochFault's RollbackCounts of the partial epoch
-  // nets both counter sets back to the last completed epoch.
-  Publish();
-  return routed;
-}
-
-Result<uint64_t> RadixExchange::StageEpoch(
-    uint64_t max_steps, const std::vector<JoinShard*>& shards,
-    std::vector<RouteEntry>* route) {
-  // The route site fires here too, so an armed fault hits the same
-  // per-epoch evaluation count whether ingest is pipelined or serial.
-  AQP_FAILPOINT(fail::site::kExchangeRoute);
-  AQP_FAILPOINT(fail::site::kExchangeStage);
-  return RouteLoop(max_steps, shards, route, true);
-}
-
-void RadixExchange::CommitStaged(const std::vector<JoinShard*>& shards) {
-  Publish();
-  for (JoinShard* shard : shards) shard->CommitStaged();
-}
-
-void RadixExchange::DiscardStaged(const std::vector<JoinShard*>& shards) {
-  steps_ = pub_steps_;
-  for (size_t i = 0; i < 2; ++i) {
-    side_count_[i] = pub_side_count_[i];
-    done_[i] = pub_done_[i];
-  }
-  for (JoinShard* shard : shards) shard->DiscardStaged();
-}
-
 void RadixExchange::SampleUnrouted(join::GramOrderSampler* sampler) const {
   for (exec::Side side : {exec::Side::kLeft, exec::Side::kRight}) {
     const size_t i = static_cast<size_t>(side);
@@ -127,9 +86,10 @@ void RadixExchange::SampleUnrouted(join::GramOrderSampler* sampler) const {
   }
 }
 
-Result<uint64_t> RadixExchange::RouteLoop(
+Result<uint64_t> RadixExchange::RouteEpoch(
     uint64_t max_steps, const std::vector<JoinShard*>& shards,
-    std::vector<RouteEntry>* route, bool staged) {
+    std::vector<RouteEntry>* route) {
+  AQP_FAILPOINT(fail::site::kExchangeRoute);
   uint64_t routed = 0;
   while (routed < max_steps) {
     const auto next_side = scheduler_.NextSide(done_[0], done_[1]);
@@ -170,17 +130,10 @@ Result<uint64_t> RadixExchange::RouteLoop(
     entry.shard = shard;
     entry.side = side;
     entry.ordinal = static_cast<uint32_t>(side_count_[i]);
-    // total_routed_count == routed_count when nothing is staged, so the
-    // serial path is unchanged.
-    entry.local_id = static_cast<storage::TupleId>(
-        shards[shard]->total_routed_count(side));
-    if (staged) {
-      shards[shard]->StageRow(side, input_batch_[i], row, steps_,
-                              entry.ordinal);
-    } else {
-      shards[shard]->RouteRow(side, input_batch_[i], row, steps_,
-                              entry.ordinal);
-    }
+    entry.local_id =
+        static_cast<storage::TupleId>(shards[shard]->routed_count(side));
+    shards[shard]->RouteRow(side, input_batch_[i], row, steps_,
+                            entry.ordinal);
     route->push_back(entry);
 
     ++side_count_[i];

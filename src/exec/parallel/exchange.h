@@ -73,50 +73,18 @@ class RadixExchange {
   /// Routes up to `max_steps` rows into the shards' pending batches,
   /// appending one RouteEntry per step to `*route` (not cleared).
   /// Returns the number of steps routed; fewer than `max_steps` only
-  /// at end-of-stream. Counters publish immediately (serial ingest).
+  /// at end-of-stream.
   Result<uint64_t> RouteEpoch(uint64_t max_steps,
                               const std::vector<JoinShard*>& shards,
                               std::vector<RouteEntry>* route);
 
-  /// \name Route-ahead (pipelined ingest).
-  ///
-  /// The counters the rest of the engine observes — steps(),
-  /// side_count(), input_exhausted() — are *published* state: they
-  /// advance only when an epoch commits. The routing loop itself walks
-  /// a private cursor, so an ingest task can stage the next epoch
-  /// (StageEpoch, run concurrently with phase execution) without the
-  /// governor, Progress(), or the adaptation trace observing rows the
-  /// serial engine would not have routed yet. At the barrier swap the
-  /// coordinator either CommitStaged (cursor becomes published, shard
-  /// staged tiers commit) or DiscardStaged (cursor rewinds to
-  /// published, shard staged tiers drop).
-  /// @{
-  /// Same routing loop as RouteEpoch, but scatters into the shards'
-  /// *staged* tier and leaves published counters untouched. Runs on
-  /// the ingest task; never concurrently with RouteEpoch or the
-  /// commit/discard calls.
-  Result<uint64_t> StageEpoch(uint64_t max_steps,
-                              const std::vector<JoinShard*>& shards,
-                              std::vector<RouteEntry>* route);
-
-  /// Epoch-barrier swap: publishes the cursor counters and commits
-  /// every shard's staged tier.
-  void CommitStaged(const std::vector<JoinShard*>& shards);
-
-  /// Drops a staged (never published) epoch: rewinds the cursor to
-  /// the published counters and clears every shard's staged tier. The
-  /// scheduler position is NOT rewound — as with RollbackCounts, the
-  /// exchange is unusable for further routing afterwards.
-  void DiscardStaged(const std::vector<JoinShard*>& shards);
-  /// @}
-
   /// Feeds `sampler`, per side in read order, the rows already pulled
   /// from the child but not routed yet: the tail of the resident
-  /// refill batch. Coordinator only, with no ingest task in flight.
+  /// refill batch.
   void SampleUnrouted(join::GramOrderSampler* sampler) const;
 
-  /// Global steps routed so far (published).
-  uint64_t steps() const { return pub_steps_; }
+  /// Global steps routed so far.
+  uint64_t steps() const { return steps_; }
 
   /// Rolls the step/side counters back past an aborted epoch's
   /// partially routed rows (the coordinator discards the shards'
@@ -128,21 +96,17 @@ class RadixExchange {
     steps_ -= steps;
     side_count_[0] -= left_rows;
     side_count_[1] -= right_rows;
-    pub_steps_ -= steps;
-    pub_side_count_[0] -= left_rows;
-    pub_side_count_[1] -= right_rows;
   }
 
-  /// Tuples routed so far from `side` (published).
+  /// Tuples routed so far from `side`.
   uint64_t side_count(exec::Side side) const {
-    return pub_side_count_[static_cast<size_t>(side)];
+    return side_count_[static_cast<size_t>(side)];
   }
 
   /// True once `side`'s child reported end-of-stream (discovered at
-  /// the same step index as the single-threaded engine would;
-  /// published — EOS found while staging becomes visible at commit).
+  /// the same step index as the single-threaded engine would).
   bool input_exhausted(exec::Side side) const {
-    return pub_done_[static_cast<size_t>(side)];
+    return done_[static_cast<size_t>(side)];
   }
 
   /// Transient refill failures retried away so far (see
@@ -151,9 +115,7 @@ class RadixExchange {
 
   /// Allocated footprint of the exchange's own buffers: the two
   /// per-side refill batches (capacity-based, so recycled batches keep
-  /// reporting their retained arenas). Must be called from whichever
-  /// context owns the routing cursor — the ingest task while staging,
-  /// the coordinator otherwise.
+  /// reporting their retained arenas).
   uint64_t ApproximateMemoryUsage() const {
     return input_batch_[0].ApproximateMemoryUsage() +
            input_batch_[1].ApproximateMemoryUsage();
@@ -165,19 +127,6 @@ class RadixExchange {
   Status Refill(exec::Side side);
   /// One refill attempt.
   Status RefillOnce(exec::Side side);
-  /// The shared routing loop; `staged` selects the shard tier.
-  Result<uint64_t> RouteLoop(uint64_t max_steps,
-                             const std::vector<JoinShard*>& shards,
-                             std::vector<RouteEntry>* route, bool staged);
-  /// Cursor -> published.
-  void Publish() {
-    pub_steps_ = steps_;
-    for (size_t i = 0; i < 2; ++i) {
-      pub_side_count_[i] = side_count_[i];
-      pub_done_[i] = done_[i];
-    }
-  }
-
   exec::Operator* inputs_[2];
   join::JoinSpec spec_;
   exec::InterleavePolicy policy_;
@@ -190,14 +139,9 @@ class RadixExchange {
   exec::InterleaveScheduler scheduler_;
   storage::ColumnBatch input_batch_[2];
   size_t input_pos_[2] = {0, 0};
-  /// Routing cursor: advanced by the loop (serial route or staging).
   bool done_[2] = {false, false};
   uint64_t steps_ = 0;
   uint64_t side_count_[2] = {0, 0};
-  /// Published at epoch commit; what accessors expose.
-  bool pub_done_[2] = {false, false};
-  uint64_t pub_steps_ = 0;
-  uint64_t pub_side_count_[2] = {0, 0};
 };
 
 }  // namespace parallel

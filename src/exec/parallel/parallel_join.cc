@@ -1,10 +1,8 @@
 #include "exec/parallel/parallel_join.h"
 
 #include <algorithm>
-#include <cassert>
 #include <chrono>
 #include <cmath>
-#include <cstdlib>
 #include <thread>
 #include <utility>
 
@@ -23,18 +21,6 @@ using adaptive::Decision;
 using adaptive::LeftMode;
 using adaptive::ProcessorState;
 using adaptive::RightMode;
-
-bool DefaultPipelineIngest() {
-  static const bool kDefault = [] {
-    const char* env = std::getenv("AQP_PIPELINE_INGEST");
-    if (env == nullptr) return true;
-    const std::string value(env);
-    return !(value == "0" || value == "off" || value == "OFF" ||
-             value == "false" || value == "FALSE" || value == "no" ||
-             value == "NO");
-  }();
-  return kDefault;
-}
 
 namespace {
 
@@ -93,14 +79,6 @@ ParallelAdaptiveJoin::ParallelAdaptiveJoin(exec::Operator* left,
   responder_ = std::make_unique<adaptive::Responder>(options_.base.adaptive);
 }
 
-ParallelAdaptiveJoin::~ParallelAdaptiveJoin() {
-  // An ingest task still in flight (Close skipped, e.g. teardown after
-  // an error) references this object's exchange and shards; it must
-  // finish before any member is destroyed — in particular on a shared
-  // pool, which outlives this operator.
-  AbandonStagedIngest();
-}
-
 Status ParallelAdaptiveJoin::Open() {
   if (open_) return Status::FailedPrecondition(name() + " already open");
   AQP_RETURN_IF_ERROR(options_.base.adaptive.Validate());
@@ -147,12 +125,10 @@ Status ParallelAdaptiveJoin::Open() {
     // Serving mode: phase task groups go to the injected pool, which
     // interleaves them fairly with other queries' groups.
     active_pool_ = options_.shared_pool;
-  } else if (n > 1 || options_.pipeline_ingest) {
+  } else if (n > 1) {
     // The coordinator participates in every phase group, so n - 1
     // workers give exactly n execution lanes for n per-shard tasks.
-    // Pipelined ingest needs at least one worker even single-sharded,
-    // so the ingest task has a lane to overlap on.
-    pool_ = std::make_unique<ThreadPool>(std::max<size_t>(1, n - 1));
+    pool_ = std::make_unique<ThreadPool>(n - 1);
     active_pool_ = pool_.get();
   } else {
     pool_ = nullptr;
@@ -180,11 +156,6 @@ Status ParallelAdaptiveJoin::Open() {
   pump_error_ = Status::OK();
   last_assessment_step_ = 0;
   script_position_ = 0;
-  staged_route_.clear();
-  staged_budget_ = 0;
-  ingest_status_ = Status::OK();
-  ingest_handle_ = TaskGroupHandle();
-  ingest_inflight_ = false;
   ingest_stats_ = IngestStats();
   shard_nodes_.clear();
   coord_node_.reset();
@@ -198,7 +169,6 @@ Status ParallelAdaptiveJoin::Open() {
   }
   memory_bytes_ = 0;
   peak_memory_bytes_ = 0;
-  ingest_side_bytes_.store(0, std::memory_order_relaxed);
   left_guard.Dismiss();
   right_guard.Dismiss();
   open_ = true;
@@ -208,10 +178,6 @@ Status ParallelAdaptiveJoin::Open() {
 Status ParallelAdaptiveJoin::Close() {
   if (!open_) return Status::FailedPrecondition(name() + " not open");
   open_ = false;
-  // The in-flight ingest task (if any) reads the children through the
-  // exchange; it must drain before they close — especially on a shared
-  // pool, where resetting pool_ below joins nothing.
-  AbandonStagedIngest();
   pool_.reset();
   active_pool_ = nullptr;
   AQP_RETURN_IF_ERROR(left_->Close());
@@ -411,19 +377,13 @@ Status ParallelAdaptiveJoin::PumpEpoch(bool* stream_ended) {
         finalize_requested_ = true;
         break;
       case EpochDirective::kCancel:
-        // Buffered output is not delivered, and neither is the staged
-        // epoch: drain the ingest task and drop its work.
-        AbandonStagedIngest();
+        // Buffered output is not delivered.
         pump_error_ = Status::Cancelled(name() + " cancelled at step " +
                                         std::to_string(exchange_->steps()));
         return pump_error_;
     }
   }
   if (finalize_requested_) {
-    // Hard deadline at the swap point: the staged epoch (in flight or
-    // ready) is exactly the input the serial engine would not have
-    // routed yet — discard it, ingest errors included.
-    AbandonStagedIngest();
     finalized_early_ = finalized_early_ ||
                        !exchange_->input_exhausted(exec::Side::kLeft) ||
                        !exchange_->input_exhausted(exec::Side::kRight);
@@ -436,7 +396,6 @@ Status ParallelAdaptiveJoin::PumpEpoch(bool* stream_ended) {
   if (!control.ok()) {
     // A failed catch-up broadcast leaves shard probe states mixed —
     // never degradable (see ApplyTransition).
-    AbandonStagedIngest();
     pump_error_ =
         control.WithContext("epoch=" + std::to_string(epoch_));
     return pump_error_;
@@ -449,60 +408,25 @@ Status ParallelAdaptiveJoin::PumpEpoch(bool* stream_ended) {
     Status clamped = ApplyTransition(ProcessorState::kLexRex, forced,
                                      Decision::kDeadlineClamp);
     if (!clamped.ok()) {
-      AbandonStagedIngest();
       pump_error_ =
           clamped.WithContext("epoch=" + std::to_string(epoch_));
       return pump_error_;
     }
   }
-  uint64_t routed = 0;
-  if (ingest_inflight_) {
-    // Swap point: the epoch's route was staged by the ingest task
-    // during the previous epoch. Wait for it, then commit the staged
-    // tier — counters publish, shard staged rows become the pending
-    // epoch — at exactly the point the serial path would have routed,
-    // so every observer (governor, Progress, trace) sees identical
-    // state either way.
-    Status ingest = WaitIngest();
-    if (!ingest.ok()) {
-      return HandleIngestFault(std::move(ingest), stream_ended);
-    }
-    const uint64_t budget = std::max<uint64_t>(1, StepsToNextControlPoint());
-    if (staged_budget_ != budget) {
-      // The budget prediction is exact by construction; a mismatch
-      // means the staged epoch is not the epoch the control loop just
-      // shaped, and committing it would silently fork the trace.
-      return HandleIngestFault(
-          Status::Internal(
-              "pipelined ingest staged a " +
-              std::to_string(staged_budget_) + "-step epoch but the "
-              "control point requires " + std::to_string(budget)),
-          stream_ended);
-    }
-    route_.clear();
-    route_.swap(staged_route_);
-    exchange_->CommitStaged(shard_ptrs_);
-    routed = route_.size();
-    ++ingest_stats_.epochs_staged;
-  } else {
-    const uint64_t budget = std::max<uint64_t>(1, StepsToNextControlPoint());
-    route_.clear();
-    const auto route_start = std::chrono::steady_clock::now();
-    auto serial_routed = exchange_->RouteEpoch(budget, shard_ptrs_, &route_);
-    ingest_stats_.serial_route_ns += ElapsedNs(route_start);
-    ++ingest_stats_.epochs_routed_serially;
-    if (!serial_routed.ok()) {
-      // Mid-epoch routing failure: rows of the aborted epoch are
-      // already scattered into the shards' pending batches, and the
-      // exchange's scheduler position cannot be rewound. The epoch is
-      // abandoned either way; on_fault decides between the sticky
-      // error and a degraded partial-result finalization.
-      return HandleEpochFault(serial_routed.status(), /*shard=*/-1,
-                              stream_ended);
-    }
-    routed = *serial_routed;
+  const uint64_t budget = std::max<uint64_t>(1, StepsToNextControlPoint());
+  route_.clear();
+  const auto route_start = std::chrono::steady_clock::now();
+  auto routed = exchange_->RouteEpoch(budget, shard_ptrs_, &route_);
+  ingest_stats_.serial_route_ns += ElapsedNs(route_start);
+  if (!routed.ok()) {
+    // Mid-epoch routing failure: rows of the aborted epoch are already
+    // scattered into the shards' pending batches, and the exchange's
+    // scheduler position cannot be rewound. The epoch is abandoned
+    // either way; on_fault decides between the sticky error and a
+    // degraded partial-result finalization.
+    return HandleEpochFault(routed.status(), /*shard=*/-1, stream_ended);
   }
-  if (routed == 0) {
+  if (*routed == 0) {
     *stream_ended = true;
     stream_done_ = true;
     UpdateMemoryAccounting();
@@ -510,10 +434,6 @@ Status ParallelAdaptiveJoin::PumpEpoch(bool* stream_ended) {
   }
   if (epoch_ == 0) InstallDerivedGramOrder();
   for (JoinShard* shard : shard_ptrs_) shard->BeginEpoch();
-  // With the pending tier now swapped into the epoch tier, the staged
-  // tier is free: start routing the next epoch while this one's
-  // phases execute.
-  MaybeSubmitIngest();
 
   // Phase A: per-shard step loops over their partitions.
   std::vector<std::function<void()>> tasks;
@@ -574,7 +494,7 @@ Status ParallelAdaptiveJoin::PumpEpoch(bool* stream_ended) {
   ++epoch_;
   // The merged epoch's route is spent: drop it now so a fault at the
   // *next* control point (a failed budget charge) cannot mistake its
-  // already-published, already-merged rows for an aborted epoch and
+  // already-counted, already-merged rows for an aborted epoch and
   // roll them back.
   route_.clear();
   return Status::OK();
@@ -587,7 +507,6 @@ void ParallelAdaptiveJoin::InstallDerivedGramOrder() {
     return;  // never probes approximately: no q-gram index is built
   }
   if (!shard_ptrs_[0]->core().needs_gram_order()) return;
-  assert(!ingest_inflight_);
   join::GramOrderSampler sampler(options_.base.join.spec.qgram);
   for (const RouteEntry& entry : route_) {
     sampler.Add(entry.side, shard_ptrs_[entry.shard]->PendingJoinKey(
@@ -602,11 +521,6 @@ void ParallelAdaptiveJoin::InstallDerivedGramOrder() {
 
 Status ParallelAdaptiveJoin::HandleEpochFault(Status error, int32_t shard,
                                               bool* stream_ended) {
-  // A phase/merge-entry fault can arrive with the *next* epoch's
-  // ingest still in flight; drain it and drop the staged tier first,
-  // so the cursor counters rewind to the published ones before the
-  // rollback below adjusts both past the faulted epoch.
-  AbandonStagedIngest();
   // Abandon the epoch: discard rows still pending in the shards (a
   // routing fault scattered them without BeginEpoch) and roll the
   // exchange's counters back to the last completed epoch, so progress,
@@ -648,107 +562,6 @@ Status ParallelAdaptiveJoin::HandleEpochFault(Status error, int32_t shard,
   return pump_error_;
 }
 
-uint64_t ParallelAdaptiveJoin::PredictNextEpochBudget() const {
-  // Evaluated right after epoch e committed (published steps == steps
-  // through e). The next pump runs ControlPoint() on exactly these
-  // counters before computing its budget; simulate the control-point
-  // update on local copies so the staged epoch's length matches what
-  // that pump will demand. Nothing between here and there moves
-  // script_position_ / last_assessment_step_ — both change only at
-  // control points.
-  const adaptive::AdaptiveOptions& adaptive = options_.base.adaptive;
-  const uint64_t steps = exchange_->steps();
-  switch (adaptive.policy) {
-    case AdaptivePolicy::kPinned:
-      return options_.unbounded_epoch_steps;
-    case AdaptivePolicy::kScripted: {
-      size_t position = script_position_;
-      while (position < adaptive.script.size() &&
-             adaptive.script[position].at_step <= steps) {
-        ++position;
-      }
-      if (position >= adaptive.script.size()) {
-        return options_.unbounded_epoch_steps;
-      }
-      const uint64_t at = adaptive.script[position].at_step;
-      return std::max<uint64_t>(1, at > steps ? at - steps : 1);
-    }
-    case AdaptivePolicy::kAdaptive: {
-      uint64_t last = last_assessment_step_;
-      if (steps > 0 && steps - last >= adaptive.delta_adapt) {
-        last = steps;
-      }
-      const uint64_t boundary = last + adaptive.delta_adapt;
-      return std::max<uint64_t>(1, boundary > steps ? boundary - steps : 1);
-    }
-  }
-  return options_.unbounded_epoch_steps;
-}
-
-void ParallelAdaptiveJoin::MaybeSubmitIngest() {
-  if (!options_.pipeline_ingest || active_pool_ == nullptr) return;
-  if (ingest_inflight_) return;
-  if (finalize_requested_ || stream_done_) return;
-  if (exchange_->input_exhausted(exec::Side::kLeft) &&
-      exchange_->input_exhausted(exec::Side::kRight)) {
-    // The epoch just committed drained both inputs; there is nothing
-    // left to stage (the next pump's serial RouteEpoch routes zero
-    // steps and ends the stream).
-    return;
-  }
-  staged_route_.clear();
-  staged_budget_ = PredictNextEpochBudget();
-  ingest_status_ = Status::OK();
-  std::vector<std::function<void()>> tasks;
-  tasks.push_back([this] {
-    // Ingest task body: pulls source batches through the exchange and
-    // routes them into the staged tier. Touches only cursor counters
-    // and staged buffers — nothing a phase worker or the coordinator
-    // reads before the swap-point Wait().
-    const auto stage_start = std::chrono::steady_clock::now();
-    auto staged =
-        exchange_->StageEpoch(staged_budget_, shard_ptrs_, &staged_route_);
-    ingest_stats_.overlap_route_ns += ElapsedNs(stage_start);
-    ingest_status_ = staged.ok() ? Status::OK() : staged.status();
-    if (coord_node_ != nullptr) {
-      // Publish this task's tier sizes so the coordinator's next
-      // control-point charge can account the ingest side without
-      // touching buffers this task owns.
-      ingest_side_bytes_.store(IngestSideMemoryUsage(),
-                               std::memory_order_relaxed);
-    }
-  });
-  ingest_handle_ = active_pool_->Submit(std::move(tasks));
-  ingest_inflight_ = true;
-}
-
-Status ParallelAdaptiveJoin::WaitIngest() {
-  const auto wait_start = std::chrono::steady_clock::now();
-  Status group = ingest_handle_.Wait();
-  ingest_stats_.stall_ns += ElapsedNs(wait_start);
-  ingest_inflight_ = false;
-  ingest_handle_ = TaskGroupHandle();
-  // A thrown task (pool-level containment) outranks the staged status
-  // it never got to write.
-  if (!group.ok()) return group;
-  return ingest_status_;
-}
-
-void ParallelAdaptiveJoin::AbandonStagedIngest() {
-  if (ingest_inflight_) {
-    // The staging error, if any, is deliberately swallowed: a terminal
-    // path is discarding the staged epoch, and the serial engine would
-    // never have routed (or faulted on) that input at all.
-    (void)ingest_handle_.Wait();
-    ingest_inflight_ = false;
-    ingest_handle_ = TaskGroupHandle();
-  }
-  if (exchange_ != nullptr) {
-    exchange_->DiscardStaged(shard_ptrs_);
-  }
-  staged_route_.clear();
-}
-
 Status ParallelAdaptiveJoin::RefreshMemoryAccounting() {
   // Injected charge failure: a backing allocator refusing the
   // accounting charge. Degrades through HandleEpochFault like any
@@ -761,43 +574,29 @@ Status ParallelAdaptiveJoin::RefreshMemoryAccounting() {
 void ParallelAdaptiveJoin::UpdateMemoryAccounting() {
   uint64_t total = 0;
   for (size_t i = 0; i < shards_.size(); ++i) {
-    // Committed tiers only — the staged tier belongs to the ingest
-    // task and is accounted through ingest_side_bytes_ while one is in
-    // flight.
-    const uint64_t bytes = shards_[i]->CommittedMemoryUsage();
+    const uint64_t bytes = shards_[i]->ApproximateMemoryUsage();
     if (!shard_nodes_.empty()) shard_nodes_[i]->Refresh(bytes);
     total += bytes;
   }
-  uint64_t coord = CoordinatorMemoryUsage();
-  coord += ingest_inflight_
-               ? ingest_side_bytes_.load(std::memory_order_relaxed)
-               : IngestSideMemoryUsage();
+  const uint64_t coord = CoordinatorMemoryUsage();
   if (coord_node_ != nullptr) coord_node_->Refresh(coord);
   total += coord;
   memory_bytes_ = total;
   if (total > peak_memory_bytes_) peak_memory_bytes_ = total;
 }
 
-uint64_t ParallelAdaptiveJoin::IngestSideMemoryUsage() const {
+uint64_t ParallelAdaptiveJoin::CoordinatorMemoryUsage() const {
   uint64_t bytes = exchange_ != nullptr ? exchange_->ApproximateMemoryUsage()
                                         : 0;
-  for (const auto& shard : shards_) bytes += shard->StagedMemoryUsage();
-  bytes += staged_route_.capacity() * sizeof(RouteEntry);
   // Prefetching children buffer source batches on their own producer
-  // threads; their deques are part of this query's footprint (the
-  // consumer-side serving batches are owned by whichever context pulls
-  // the exchange — the same one calling this).
+  // threads; their deques are part of this query's footprint.
   if (auto* prefetch = dynamic_cast<exec::PrefetchSource*>(left_)) {
     bytes += prefetch->ApproximateMemoryUsage();
   }
   if (auto* prefetch = dynamic_cast<exec::PrefetchSource*>(right_)) {
     bytes += prefetch->ApproximateMemoryUsage();
   }
-  return bytes;
-}
-
-uint64_t ParallelAdaptiveJoin::CoordinatorMemoryUsage() const {
-  uint64_t bytes = route_.capacity() * sizeof(RouteEntry);
+  bytes += route_.capacity() * sizeof(RouteEntry);
   bytes += out_buffer_.capacity() * sizeof(ParallelMatchRef);
   bytes += merge_scratch_.capacity() * sizeof(MergedMatch);
   bytes += epoch_observables_.capacity() * sizeof(join::StepObservables);
@@ -810,40 +609,8 @@ uint64_t ParallelAdaptiveJoin::CoordinatorMemoryUsage() const {
 
 uint64_t ParallelAdaptiveJoin::ApproximateMemoryUsage() const {
   uint64_t total = 0;
-  for (const auto& shard : shards_) total += shard->CommittedMemoryUsage();
-  return total + CoordinatorMemoryUsage() + IngestSideMemoryUsage();
-}
-
-Status ParallelAdaptiveJoin::HandleIngestFault(Status error,
-                                               bool* stream_ended) {
-  // The staged epoch was never committed: drop it (cursor counters
-  // rewind to the published ones) — no pending rows to discard, no
-  // rollback, because nothing this epoch touched is observable.
-  exchange_->DiscardStaged(shard_ptrs_);
-  staged_route_.clear();
-  route_.clear();
-  Status annotated =
-      error.WithContext("epoch=" + std::to_string(epoch_));
-  if (options_.on_fault == FaultPolicy::kFinalizePartial &&
-      RecoverableFaultCode(error)) {
-    // Same degradation as HandleEpochFault: the fault becomes a
-    // hard-deadline-style early finalization with a strict-prefix
-    // result; step/epoch describe the committed prefix.
-    FaultReport report;
-    report.site = ExtractFaultSite(error);
-    report.epoch = epoch_;
-    report.step = exchange_->steps();
-    report.shard = -1;
-    report.status = std::move(annotated);
-    fault_ = std::move(report);
-    finalized_early_ = true;
-    stream_done_ = true;
-    *stream_ended = true;
-    UpdateMemoryAccounting();
-    return Status::OK();
-  }
-  pump_error_ = std::move(annotated);
-  return pump_error_;
+  for (const auto& shard : shards_) total += shard->ApproximateMemoryUsage();
+  return total + CoordinatorMemoryUsage();
 }
 
 Status ParallelAdaptiveJoin::RunTasks(std::vector<std::function<void()>> tasks,

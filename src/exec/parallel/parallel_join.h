@@ -8,8 +8,6 @@
 #include <string>
 #include <vector>
 
-#include <atomic>
-
 #include "adaptive/adaptive_join.h"
 #include "adaptive/cost_model.h"
 #include "adaptive/mar.h"
@@ -110,32 +108,20 @@ struct FaultReport {
   Status status;
 };
 
-/// Process-wide default of ParallelJoinOptions::pipeline_ingest: true,
-/// unless the AQP_PIPELINE_INGEST environment variable is set to
-/// 0/off/false/no (the CI serial-fallback ctest flavor). Read once.
-bool DefaultPipelineIngest();
-
-/// \brief Ingest-overlap counters: how much source parse + routing
-/// cost the pipelined ingest moved off the epoch critical path.
+/// \brief Ingest counters. Every epoch is routed once, by the
+/// coordinator at its barrier, so only serial_route_ns measures
+/// anything; epochs_staged, stall_ns and overlap_route_ns always read
+/// 0 and are kept because the end-to-end benchmark (perfbench/) still
+/// reports them.
 ///
-/// Written by the coordinator at epoch barriers (and by the ingest
-/// task between them); read them only when the operator is quiescent —
-/// between drive calls, or after the stream ended.
+/// Written by the coordinator at epoch barriers; read them only when
+/// the operator is quiescent — between drive calls, or after the
+/// stream ended.
 struct IngestStats {
-  /// Epochs whose route was staged ahead by the ingest task.
   uint64_t epochs_staged = 0;
-  /// Epochs routed serially on the critical path (the first epoch,
-  /// and every epoch when pipeline_ingest is off).
-  uint64_t epochs_routed_serially = 0;
-  /// Coordinator wall time blocked at swap points waiting for (or
-  /// helping finish) an in-flight ingest task. On a saturated pool
-  /// this approaches overlap_route_ns — no spare lane, no real
-  /// overlap (the 1-CPU bench caveat).
   int64_t stall_ns = 0;
-  /// Staging wall time (source refills + routing) spent on the ingest
-  /// task, i.e. attributed to overlap rather than the critical path.
   int64_t overlap_route_ns = 0;
-  /// Serial routing wall time on the critical path.
+  /// Wall time of every epoch's route (source refills + routing).
   int64_t serial_route_ns = 0;
 };
 
@@ -153,8 +139,10 @@ struct ParallelJoinOptions {
   uint64_t unbounded_epoch_steps = 4096;
   /// Shared worker pool (borrowed, e.g. a LinkageService's; must
   /// outlive the operator). Null = the operator creates its own
-  /// (num_shards - 1)-worker pool at Open. Pool choice never changes
-  /// results or traces — epochs are barrier-synchronized either way.
+  /// (num_shards - 1)-worker pool at Open, or none for one shard,
+  /// which then runs inline on the calling thread. Pool choice never
+  /// changes results or traces — epochs are barrier-synchronized
+  /// either way.
   ThreadPool* shared_pool = nullptr;
   /// Called by the coordinator at every epoch control point (all
   /// shards quiescent), *before* the MAR control loop runs. This is
@@ -169,14 +157,6 @@ struct ParallelJoinOptions {
   /// Bounded retry of transient (kUnavailable) source refills during
   /// ingest; absorbed retries surface via source_retries().
   SourceRetryOptions source_retry;
-  /// Overlap ingest with execution: while epoch e's phases run, an
-  /// ingest task group pulls source batches and routes epoch e+1 into
-  /// a staged buffer tier, committed at the next epoch barrier.
-  /// Results and adaptation traces are byte-identical either way
-  /// (tests/integration/pipeline_parity_test.cc); the toggle exists to
-  /// keep the refactor bisectable and to let CI drive the retained
-  /// serial path. Default on (see DefaultPipelineIngest).
-  bool pipeline_ingest = DefaultPipelineIngest();
   /// Per-query budget node of the hierarchical accounting tree
   /// (borrowed; must outlive the join). When set, the join creates one
   /// child node per shard plus a coordinator node under it at Open and
@@ -243,7 +223,6 @@ class ParallelAdaptiveJoin : public exec::Operator,
   /// Children are borrowed, not owned, and must outlive the join.
   ParallelAdaptiveJoin(exec::Operator* left, exec::Operator* right,
                        ParallelJoinOptions options);
-  ~ParallelAdaptiveJoin() override;
 
   Status Open() override;
   Result<std::optional<storage::Tuple>> Next() override;
@@ -304,7 +283,7 @@ class ParallelAdaptiveJoin : public exec::Operator,
   uint64_t source_retries() const {
     return exchange_ ? exchange_->source_retries() : 0;
   }
-  /// Ingest-overlap counters (see IngestStats for the read contract).
+  /// Ingest counters (see IngestStats for the read contract).
   const IngestStats& ingest_stats() const { return ingest_stats_; }
   /// Epochs routed, executed, and merged to completion.
   uint64_t epochs_completed() const { return epoch_; }
@@ -336,11 +315,10 @@ class ParallelAdaptiveJoin : public exec::Operator,
     return shards_.empty() ? nullptr : shards_[0]->core().gram_order();
   }
 
-  /// Engine memory footprint right now: shard committed+staged tiers,
-  /// exchange refill batches, prefetching children, and coordinator
-  /// buffers. Call only when quiescent (between drive calls with no
-  /// ingest task in flight, or after the stream ended) — the
-  /// per-control-point refresh uses the race-free split internally.
+  /// Engine memory footprint right now: shard stores, indexes and
+  /// buffers, exchange refill batches, prefetching children, and
+  /// coordinator buffers. Call only when quiescent (between drive
+  /// calls, or after the stream ended).
   uint64_t ApproximateMemoryUsage() const;
   /// Footprint as of the last control-point refresh (0 before any).
   uint64_t memory_bytes() const { return memory_bytes_; }
@@ -379,47 +357,15 @@ class ParallelAdaptiveJoin : public exec::Operator,
   template <typename Batch>
   Status FillBatch(Batch* out);
 
-  /// Runs one epoch (control point, route-or-swap, phases, merge).
-  /// Sets `*stream_ended` when no step could be routed. With
-  /// pipeline_ingest on, the epoch's route was usually staged by an
-  /// ingest task during the previous epoch; the swap point waits for
-  /// that task, commits the staged tier, and submits staging of the
-  /// *next* epoch before the phases run.
+  /// Runs one epoch (control point, route, phases, merge). Sets
+  /// `*stream_ended` when no step could be routed.
   Status PumpEpoch(bool* stream_ended);
-
-  /// \name Pipelined ingest (all coordinator-side).
-  /// @{
-  /// Submits a one-task ingest group that stages the next epoch
-  /// (predicted budget) into the exchange/shard staged tiers. No-op
-  /// when pipelining is off, no pool exists, the stream is ending, or
-  /// both inputs are already exhausted.
-  void MaybeSubmitIngest();
-  /// Waits for the in-flight ingest task (stall time accounted) and
-  /// returns its outcome: the task-group error if it threw, else the
-  /// StageEpoch status.
-  Status WaitIngest();
-  /// What the next pump's StepsToNextControlPoint() will return —
-  /// evaluated one epoch early by simulating the control-point updates
-  /// on (published) committed counters. Exact, not a heuristic: the
-  /// swap point re-derives the truth and Internal-errors on mismatch.
-  uint64_t PredictNextEpochBudget() const;
-  /// Drains any in-flight ingest task and discards the staged tier
-  /// (terminal paths: finalize, cancel, faults, Close, destruction).
-  /// A staging error is swallowed — the serial engine would never
-  /// have routed that epoch.
-  void AbandonStagedIngest();
-  /// Ingest-task fault at the swap point: the staged (never
-  /// committed) epoch is discarded, then the fault degrades or goes
-  /// sticky exactly like HandleEpochFault — same FaultReport shape,
-  /// no rollback needed because nothing was published.
-  Status HandleIngestFault(Status error, bool* stream_ended);
-  /// @}
 
   /// First routed epoch, before it begins: samples the input head
   /// (the epoch's pending rows, then the exchange's unrouted resident
   /// rows) into a gram order and installs it into every shard core —
-  /// before any q-gram insert, with no ingest task in flight, pulling
-  /// nothing. No-op when an order is in place or no filter is on.
+  /// before any q-gram insert, pulling nothing. No-op when an order is
+  /// in place or no filter is on.
   void InstallDerivedGramOrder();
 
   /// Refills the output buffer by pumping epochs until output exists
@@ -428,29 +374,22 @@ class ParallelAdaptiveJoin : public exec::Operator,
 
   /// \name Memory accounting (tentpole PR 9).
   /// @{
-  /// Control-point refresh: recomputes the engine footprint (race-free
-  /// against an in-flight ingest task via the committed/ingest-side
-  /// split), pushes it into the budget nodes, and updates
-  /// memory_bytes_/peak_memory_bytes_. Evaluates the `budget.charge`
-  /// failpoint first; a non-OK charge is returned for the caller to
-  /// degrade through HandleEpochFault. Only called when a budget node
-  /// is attached.
+  /// Control-point refresh: recomputes the engine footprint, pushes it
+  /// into the budget nodes, and updates memory_bytes_ and
+  /// peak_memory_bytes_. Evaluates the `budget.charge` failpoint first;
+  /// a non-OK charge is returned for the caller to degrade through
+  /// HandleEpochFault. Only called when a budget node is attached.
   Status RefreshMemoryAccounting();
-  /// Sum of the tiers owned by the ingest/staging context: exchange
-  /// refill batches, shard staged tiers, the staged route, and
-  /// prefetching children. Called by the ingest task after staging
-  /// (published via ingest_side_bytes_), or by the coordinator when no
-  /// task is in flight.
-  uint64_t IngestSideMemoryUsage() const;
-  /// Coordinator-owned buffers (route, merge scratch, output buffer,
-  /// matched flags) — always safe from the coordinator.
+  /// Everything but the shards: exchange refill batches, prefetching
+  /// children, and the coordinator's route, merge scratch, output
+  /// buffer and matched flags.
   uint64_t CoordinatorMemoryUsage() const;
   /// The refresh body without the failpoint: recompute, push into the
   /// budget nodes (if any), update memory_bytes_ and the peak. Also
-  /// called directly on stream-end paths (no ingest task is in flight
-  /// there), so the final footprint is always folded into the peak —
-  /// including with accounting off, which is what fixes the
-  /// parallel-runs-report-no-memory RunStats bug.
+  /// called directly on stream-end paths, so the final footprint is
+  /// always folded into the peak — including with accounting off,
+  /// which is what fixes the parallel-runs-report-no-memory RunStats
+  /// bug.
   void UpdateMemoryAccounting();
   /// @}
 
@@ -528,25 +467,13 @@ class ParallelAdaptiveJoin : public exec::Operator,
 
   /// Budget-tree children under options_.memory_budget (empty when
   /// accounting is off): one node per shard plus one coordinator node
-  /// (exchange + ingest-side + coordinator buffers). Destroyed before
+  /// (see CoordinatorMemoryUsage). Destroyed before
   /// the borrowed parent, auto-releasing their usage.
   std::vector<std::unique_ptr<mem::BudgetNode>> shard_nodes_;
   std::unique_ptr<mem::BudgetNode> coord_node_;
   uint64_t memory_bytes_ = 0;
   uint64_t peak_memory_bytes_ = 0;
-  /// Ingest-side footprint published by the staging task after each
-  /// StageEpoch (relaxed; read by the coordinator's refresh while the
-  /// task is in flight, exact values re-read after the barrier).
-  std::atomic<uint64_t> ingest_side_bytes_{0};
 
-  /// Pipelined-ingest state. The ingest task writes staged_route_,
-  /// ingest_status_, and the overlap counter; the coordinator touches
-  /// them only after TaskGroupHandle::Wait() (the pool's barrier).
-  std::vector<RouteEntry> staged_route_;
-  uint64_t staged_budget_ = 0;
-  Status ingest_status_;
-  TaskGroupHandle ingest_handle_;
-  bool ingest_inflight_ = false;
   IngestStats ingest_stats_;
 
   /// Current epoch's route, per-shard merge cursors, and scratch.

@@ -1,5 +1,6 @@
 #include "exec/parallel/shard.h"
 
+#include <cassert>
 #include <utility>
 
 #include "common/failpoint.h"
@@ -29,8 +30,6 @@ void JoinShard::BindSchemas(const storage::Schema* left,
   pending_rows_[1].Reset(right);
   epoch_rows_[0].Reset(left);
   epoch_rows_[1].Reset(right);
-  staged_rows_[0].Reset(left);
-  staged_rows_[1].Reset(right);
 }
 
 void JoinShard::RouteRow(exec::Side side, const storage::ColumnBatch& src,
@@ -48,51 +47,6 @@ void JoinShard::RouteRow(exec::Side side, const storage::ColumnBatch& src,
   // the shard's pending batch; no Tuple object is ever constructed.
   pending_rows_[s].AppendRowFrom(src, src_row);
   pending_meta_.push_back(meta);
-}
-
-void JoinShard::StageRow(exec::Side side, const storage::ColumnBatch& src,
-                         size_t src_row, uint64_t seq,
-                         uint32_t side_ordinal) {
-  const size_t s = static_cast<size_t>(side);
-  RoutedRow meta;
-  meta.side = side;
-  // The id this row will hold once the staged tier commits behind
-  // everything already routed.
-  meta.local_id =
-      static_cast<storage::TupleId>(seq_[s].size() + staged_seq_[s].size());
-  meta.row = static_cast<uint32_t>(staged_rows_[s].size());
-  meta.seq = seq;
-  staged_seq_[s].push_back(seq);
-  staged_ordinal_[s].push_back(side_ordinal);
-  staged_rows_[s].AppendRowFrom(src, src_row);
-  staged_meta_.push_back(meta);
-}
-
-void JoinShard::CommitStaged() {
-  // The previous epoch must have begun (pending tier empty), so the
-  // staged batches can swap straight in with zero copies.
-  assert(pending_meta_.empty());
-  for (size_t s = 0; s < 2; ++s) {
-    seq_[s].insert(seq_[s].end(), staged_seq_[s].begin(),
-                   staged_seq_[s].end());
-    ordinal_[s].insert(ordinal_[s].end(), staged_ordinal_[s].begin(),
-                       staged_ordinal_[s].end());
-    staged_seq_[s].clear();
-    staged_ordinal_[s].clear();
-    std::swap(pending_rows_[s], staged_rows_[s]);
-    staged_rows_[s].Clear();
-  }
-  std::swap(pending_meta_, staged_meta_);
-  staged_meta_.clear();
-}
-
-void JoinShard::DiscardStaged() {
-  for (size_t s = 0; s < 2; ++s) {
-    staged_seq_[s].clear();
-    staged_ordinal_[s].clear();
-    staged_rows_[s].Clear();
-  }
-  staged_meta_.clear();
 }
 
 std::string_view JoinShard::PendingJoinKey(exec::Side side,
@@ -196,7 +150,7 @@ void JoinShard::RunCrossProbePhase(const std::vector<JoinShard*>& shards) {
   }
 }
 
-uint64_t JoinShard::CommittedMemoryUsage() const {
+uint64_t JoinShard::ApproximateMemoryUsage() const {
   uint64_t bytes = core_.ApproximateMemoryUsage();
   for (size_t s = 0; s < 2; ++s) {
     bytes += pending_rows_[s].ApproximateMemoryUsage();
@@ -212,16 +166,6 @@ uint64_t JoinShard::CommittedMemoryUsage() const {
   bytes += cross_matches_.capacity() * sizeof(CrossMatch);
   bytes += cross_tmp_.capacity() * sizeof(join::JoinMatch);
   bytes += cross_scratch_.ApproximateMemoryUsage();
-  return bytes;
-}
-
-uint64_t JoinShard::StagedMemoryUsage() const {
-  uint64_t bytes = staged_meta_.capacity() * sizeof(RoutedRow);
-  for (size_t s = 0; s < 2; ++s) {
-    bytes += staged_rows_[s].ApproximateMemoryUsage();
-    bytes += staged_seq_[s].capacity() * sizeof(uint64_t);
-    bytes += staged_ordinal_[s].capacity() * sizeof(uint32_t);
-  }
   return bytes;
 }
 

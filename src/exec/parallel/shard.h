@@ -1,7 +1,6 @@
 #ifndef AQP_EXEC_PARALLEL_SHARD_H_
 #define AQP_EXEC_PARALLEL_SHARD_H_
 
-#include <cassert>
 #include <cstdint>
 #include <string_view>
 #include <vector>
@@ -111,40 +110,6 @@ class JoinShard {
   void DiscardPending();
   /// @}
 
-  /// \name Route-ahead staging (ingest task, overlapped with phases).
-  ///
-  /// While an epoch's phases run, the pipelined ingest task routes the
-  /// *next* epoch into a third, fully separate buffer tier: StageRow
-  /// touches only `staged_*` state, never `seq_`/`ordinal_` (read
-  /// lock-free by phase-B cross-probes and the coordinator merge) nor
-  /// the pending/epoch batches. At the epoch-barrier swap the
-  /// coordinator calls CommitStaged — staged seq/ordinal append to the
-  /// committed maps and the staged batches become the pending epoch —
-  /// or DiscardStaged on a fault/finalize, which simply clears the
-  /// staged tier and leaves committed state untouched.
-  /// @{
-  /// Stages row `src_row` of `src` for the epoch after next. Same
-  /// scatter as RouteRow, into the staged tier. Only the ingest task
-  /// calls this, and never concurrently with Commit/DiscardStaged.
-  void StageRow(exec::Side side, const storage::ColumnBatch& src,
-                size_t src_row, uint64_t seq, uint32_t side_ordinal);
-
-  /// Routed + staged tuples of `side` (the local id the next *staged*
-  /// row would receive). Used by the exchange while staging.
-  size_t total_routed_count(exec::Side side) const {
-    const size_t s = static_cast<size_t>(side);
-    return seq_[s].size() + staged_seq_[s].size();
-  }
-
-  /// Epoch-barrier swap, staged -> pending. Requires the pending tier
-  /// to be empty (the previous epoch already began).
-  void CommitStaged();
-
-  /// Drops the staged tier (ingest fault / finalize / cancel). The
-  /// committed maps and the pending/epoch tiers are untouched.
-  void DiscardStaged();
-  /// @}
-
   /// \name Phase runners (worker threads).
   /// @{
   /// Phase A: the existing symmetric-join step loop over the shard's
@@ -207,25 +172,10 @@ class JoinShard {
     core_.ReserveStores(left_hint, right_hint);
   }
 
-  /// \name Memory accounting (capacity-based, like the core's).
-  ///
-  /// Split along the pipelined-ingest ownership boundary so budget
-  /// refreshes stay race-free: the *committed* figure covers state only
-  /// the coordinator/workers touch (safe at a control point even while
-  /// an ingest task is in flight); the *staged* figure covers the tier
-  /// the ingest task writes (only that task, or the coordinator after
-  /// the task-group wait, may read it).
-  /// @{
-  /// Core stores/indexes + pending/epoch tiers + routing maps + phase
-  /// output buffers + both probe scratches.
-  uint64_t CommittedMemoryUsage() const;
-  /// The route-ahead staged tier only.
-  uint64_t StagedMemoryUsage() const;
-  /// Both (call only when no ingest task is in flight).
-  uint64_t ApproximateMemoryUsage() const {
-    return CommittedMemoryUsage() + StagedMemoryUsage();
-  }
-  /// @}
+  /// Allocated footprint (capacity-based, like the core's): core
+  /// stores/indexes, pending/epoch tiers, routing maps, phase output
+  /// buffers, and both probe scratches.
+  uint64_t ApproximateMemoryUsage() const;
 
  private:
   uint32_t index_;
@@ -240,15 +190,6 @@ class JoinShard {
   storage::ColumnBatch epoch_rows_[2];
   std::vector<RoutedRow> pending_meta_;
   std::vector<RoutedRow> epoch_meta_;
-
-  /// Route-ahead tier: rows staged by the ingest task while phases run,
-  /// committed into pending_* (and seq_/ordinal_) only at the barrier
-  /// swap. Written by the ingest task, swapped/cleared by the
-  /// coordinator after the task-group wait — never both at once.
-  storage::ColumnBatch staged_rows_[2];
-  std::vector<RoutedRow> staged_meta_;
-  std::vector<uint64_t> staged_seq_[2];
-  std::vector<uint32_t> staged_ordinal_[2];
 
   /// Shard-local id -> global seq / per-side ordinal, per side.
   /// Appended at routing time; read cross-shard during phase B (frozen

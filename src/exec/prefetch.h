@@ -43,8 +43,10 @@ struct PrefetchStats {
 };
 
 /// \brief Source wrapper that overlaps child refills with downstream
-/// work on a dedicated producer thread (the single-threaded engine's
-/// counterpart of the parallel join's pipelined ingest).
+/// work on a dedicated producer thread. It is the engine's only ingest
+/// overlap: wrap a slow source (a remote feed, a CSV parse) in it, for
+/// the single-threaded join or for a parallel join, whose coordinator
+/// routes each epoch serially at its barrier.
 ///
 /// The producer pulls ColumnBatches from the borrowed child into a
 /// bounded queue (PrefetchOptions::depth); NextColumnBatch() pops them

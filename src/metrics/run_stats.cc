@@ -48,15 +48,6 @@ RunStats SummarizeRun(const adaptive::AdaptiveJoin& join,
   return stats;
 }
 
-void AddIngestStats(const exec::parallel::IngestStats& ingest,
-                    RunStats* stats) {
-  stats->ingest_epochs_staged = ingest.epochs_staged;
-  stats->ingest_epochs_serial = ingest.epochs_routed_serially;
-  stats->ingest_stall_ns = ingest.stall_ns;
-  stats->ingest_overlap_route_ns = ingest.overlap_route_ns;
-  stats->ingest_serial_route_ns = ingest.serial_route_ns;
-}
-
 void AddMemoryStats(const exec::parallel::ParallelAdaptiveJoin& join,
                     RunStats* stats) {
   stats->memory_bytes = join.memory_bytes();

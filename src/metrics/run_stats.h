@@ -54,18 +54,6 @@ struct RunStats {
   uint64_t quarantined_rows = 0;
   uint64_t source_retries = 0;
 
-  /// Pipelined-ingest overlap counters (all zero for serial-ingest
-  /// runs): epochs whose routing was staged concurrently with the
-  /// previous epoch's phases vs routed serially on the critical path;
-  /// how long the coordinator stalled at the swap point waiting for
-  /// staging to finish; and the routing time hidden behind phase
-  /// execution vs spent on the critical path.
-  uint64_t ingest_epochs_staged = 0;
-  uint64_t ingest_epochs_serial = 0;
-  int64_t ingest_stall_ns = 0;
-  int64_t ingest_overlap_route_ns = 0;
-  int64_t ingest_serial_route_ns = 0;
-
   /// Σ_i t_i·w_i + Σ_i tr_i·v_i under the given weights (§4.3 c_abs).
   double WeightedCost(const adaptive::StateWeights& weights) const;
 
@@ -77,12 +65,8 @@ struct RunStats {
 RunStats SummarizeRun(const adaptive::AdaptiveJoin& join,
                       const std::string& label, double wall_seconds);
 
-/// Folds a parallel join's pipelined-ingest counters into `stats`.
-void AddIngestStats(const exec::parallel::IngestStats& ingest,
-                    RunStats* stats);
-
 /// Folds a parallel join's aggregated memory accounting (every shard's
-/// committed tiers + exchange/staging/prefetch + coordinator state)
+/// stores and buffers + exchange/prefetch + coordinator state)
 /// into `stats`. Call after the join finished; before this existed,
 /// parallel runs reported memory_bytes == 0.
 void AddMemoryStats(const exec::parallel::ParallelAdaptiveJoin& join,

@@ -547,6 +547,16 @@ LinkageService::AttemptOutcome LinkageService::RunAttempt(QueryRecord* q) {
   // written by this thread (admission in RunnerLoop, release in
   // Finish).
   join_options.memory_budget = q->budget_node.get();
+  if (q->memory.hard_bytes > 0) {
+    // The hard bound acts only at control points. Under a pinned
+    // policy they are unbounded_epoch_steps apart, enough to consume a
+    // small input in one epoch, past any budget; give a budgeted query
+    // a control point every δ_adapt steps, as adaptive runs have.
+    // Epoch length changes no result and no trace.
+    join_options.unbounded_epoch_steps =
+        std::min(join_options.unbounded_epoch_steps,
+                 std::max<uint64_t>(1, join_options.base.adaptive.delta_adapt));
+  }
   join_options.governor = [this, q](const EpochView& view) {
     return Govern(q, view);
   };

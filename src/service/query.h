@@ -146,17 +146,16 @@ struct QueryStats {
   /// Source-refill retries the exchange performed against transiently
   /// unavailable (kUnavailable) inputs before they recovered.
   uint64_t source_retries = 0;
-  /// Pipelined-ingest overlap counters: epochs staged ahead vs routed
-  /// serially, swap-point stall time, and routing time hidden behind
-  /// phase execution vs spent on the critical path. All zero when
-  /// `join.pipeline_ingest` is off.
+  /// Ingest counters of the final attempt: serial_route_ns is the
+  /// routing time of every epoch; the other fields read 0 (see
+  /// exec::parallel::IngestStats).
   exec::parallel::IngestStats ingest;
   /// Set when a recoverable fault degraded the query to a partial
   /// result (join.on_fault == kFinalizePartial): which site fired,
   /// in which epoch, on which shard, with the original status.
   std::optional<exec::parallel::FaultReport> fault;
   /// Engine memory footprint at the end of the final attempt
-  /// (shard stores/indexes, exchange and staged tiers, prefetch
+  /// (shard stores/indexes and buffers, exchange batches, prefetch
   /// buffers, coordinator state) and its high-water across the run —
   /// aggregated from the parallel engine, which previously reported no
   /// memory at all through RunStats.

@@ -6,16 +6,28 @@
 namespace aqp {
 namespace stats {
 
+namespace {
+
+/// ln Γ(x). std::lgamma also stores the sign of Γ(x) in the global
+/// `signgam`, a data race when concurrent queries assess at once;
+/// lgamma_r returns the sign through a local instead.
+double LogGamma(double x) {
+  int sign = 0;
+  return lgamma_r(x, &sign);
+}
+
+}  // namespace
+
 double LogBeta(double a, double b) {
   assert(a > 0 && b > 0);
-  return std::lgamma(a) + std::lgamma(b) - std::lgamma(a + b);
+  return LogGamma(a) + LogGamma(b) - LogGamma(a + b);
 }
 
 double LogBinomialCoefficient(unsigned long long n, unsigned long long k) {
   assert(k <= n);
-  return std::lgamma(static_cast<double>(n) + 1.0) -
-         std::lgamma(static_cast<double>(k) + 1.0) -
-         std::lgamma(static_cast<double>(n - k) + 1.0);
+  return LogGamma(static_cast<double>(n) + 1.0) -
+         LogGamma(static_cast<double>(k) + 1.0) -
+         LogGamma(static_cast<double>(n - k) + 1.0);
 }
 
 namespace {

@@ -75,6 +75,34 @@ TEST(LockOrderTest, OutOfOrderReleaseIsSilent) {
   EXPECT_EQ(lock_order::HeldCountForTest(), 0u);
 }
 
+size_t held_at_thread_exit = 0;
+
+/// Takes `mu` from its destructor, which runs at thread exit.
+struct LocksAtThreadExit {
+  Mutex* mu = nullptr;
+  ~LocksAtThreadExit() {
+    if (mu == nullptr) return;
+    MutexLock lock(mu);
+    held_at_thread_exit = lock_order::HeldCountForTest();
+  }
+};
+
+// A thread-local destructor may take a lock while its thread exits.
+// This one is constructed before the thread's first lock, so it is
+// destroyed after anything the detector made at that lock.
+TEST(LockOrderTest, LockTakenByThreadLocalDestructorAtThreadExit) {
+  Mutex mu("lock_order_test.tls_exit");
+  held_at_thread_exit = 0;
+  std::thread t([&mu] {
+    thread_local LocksAtThreadExit guard;
+    guard.mu = &mu;
+    MutexLock lock(&mu);
+  });
+  t.join();
+  EXPECT_EQ(held_at_thread_exit, 1u);
+  EXPECT_EQ(lock_order::HeldCountForTest(), 0u);
+}
+
 TEST(LockOrderTest, TryLockAgainstRecordedOrderIsSilent) {
   Mutex a("lock_order_test.try.a");
   Mutex b("lock_order_test.try.b");

@@ -1,6 +1,6 @@
 // Engine-side memory accounting: the ApproximateMemoryUsage() figures
 // of the holders the budget tree charges (exchange input batches,
-// shard committed/staged tiers, prefetch chunk deque), the parallel
+// shard stores and buffers, prefetch chunk deque), the parallel
 // join's aggregation of them into memory_bytes()/peak_memory_bytes()
 // (the fix for parallel-runs-report-no-memory), the budget-tree wiring
 // at epoch control points, and byte-identical results with accounting
@@ -86,13 +86,9 @@ TEST(MemoryAccountingTest, ExchangeAndShardsReportRoutedBytes) {
   // The exchange holds the refill batches it just read...
   EXPECT_GT(exchange.ApproximateMemoryUsage(), 0u);
   // ...and every shard holds the rows routed to it.
-  uint64_t committed = 0;
-  for (JoinShard* shard : ptrs) {
-    committed += shard->CommittedMemoryUsage();
-    EXPECT_EQ(shard->ApproximateMemoryUsage(),
-              shard->CommittedMemoryUsage() + shard->StagedMemoryUsage());
-  }
-  EXPECT_GT(committed, 100u);  // 100 routed rows, well over a byte each
+  uint64_t shard_bytes = 0;
+  for (JoinShard* shard : ptrs) shard_bytes += shard->ApproximateMemoryUsage();
+  EXPECT_GT(shard_bytes, 100u);  // 100 routed rows, well over a byte each
 
   ASSERT_TRUE(child.Close().ok());
   ASSERT_TRUE(parent.Close().ok());
@@ -102,7 +98,7 @@ TEST(MemoryAccountingTest, ShardCountsCrossProbeScratch) {
   // Parent keys share no gram with child keys, so phase B finds no
   // candidate and no match: the only memory it adds is the cross-probe
   // scratch's dense T(t), one counter per tuple of the largest index
-  // probed, which the committed figure must include.
+  // probed, which the shard's footprint must include.
   datagen::TestCase tc = SmallCase();
   for (size_t i = 0; i < tc.parent.size(); ++i) {
     (*tc.parent.mutable_row(i))[datagen::kAtlasLocationColumn] =
@@ -133,14 +129,14 @@ TEST(MemoryAccountingTest, ShardCountsCrossProbeScratch) {
     shard->RunBuildPhase();
   }
   for (JoinShard* shard : ptrs) {
-    const uint64_t before = shard->CommittedMemoryUsage();
+    const uint64_t before = shard->ApproximateMemoryUsage();
     shard->RunCrossProbePhase(ptrs);
     const JoinShard* other = ptrs[shard == ptrs[0] ? 1 : 0];
     const size_t probed = std::max(
         other->core().qgram_index(exec::Side::kLeft).watermark(),
         other->core().qgram_index(exec::Side::kRight).watermark());
     ASSERT_GT(probed, 0u);
-    EXPECT_GE(shard->CommittedMemoryUsage(),
+    EXPECT_GE(shard->ApproximateMemoryUsage(),
               before + probed * sizeof(uint32_t));
   }
 
@@ -246,44 +242,6 @@ TEST(MemoryAccountingTest, AccountingOnIsByteIdenticalToAccountingOff) {
   EXPECT_EQ(on.steps(), off.steps());
   EXPECT_EQ(on.pairs_emitted(), off.pairs_emitted());
   EXPECT_EQ(on.state(), off.state());
-}
-
-TEST(MemoryAccountingTest, PipelinedIngestAccountsStagedTiers) {
-  // With the ingest task staging ahead, the coordinator's charge folds
-  // in the published ingest-side figure instead of touching buffers the
-  // task owns (the TSan-safe committed/staged split). Accounting must
-  // stay wired and the result identical to the serial-ingest run.
-  const datagen::TestCase tc = SmallCase();
-
-  exec::RelationScan child_serial(&tc.child);
-  exec::RelationScan parent_serial(&tc.parent);
-  ParallelAdaptiveJoin serial(&child_serial, &parent_serial, Options(tc));
-  auto rows_serial = exec::CollectAll(&serial);
-  ASSERT_TRUE(rows_serial.ok());
-
-  mem::BudgetNode root("global");
-  uint64_t max_view_bytes = 0;
-  {
-    mem::BudgetNode query("query1", &root);
-    exec::RelationScan child(&tc.child);
-    exec::RelationScan parent(&tc.parent);
-    ParallelJoinOptions options = Options(tc);
-    options.pipeline_ingest = true;
-    options.memory_budget = &query;
-    options.governor = [&](const EpochView& view) {
-      max_view_bytes = std::max(max_view_bytes, view.memory_bytes);
-      return EpochDirective::kProceed;
-    };
-    ParallelAdaptiveJoin join(&child, &parent, options);
-    auto rows = exec::CollectAll(&join);
-    ASSERT_TRUE(rows.ok()) << rows.status().ToString();
-    ASSERT_EQ(rows->size(), rows_serial->size());
-    for (size_t i = 0; i < rows->size(); ++i) {
-      ASSERT_EQ(rows->row(i), rows_serial->row(i)) << "row " << i;
-    }
-    EXPECT_GT(max_view_bytes, 0u);
-  }
-  EXPECT_EQ(root.used(), 0u);
 }
 
 }  // namespace

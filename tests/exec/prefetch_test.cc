@@ -5,7 +5,10 @@
 #include <string>
 #include <vector>
 
+#include "adaptive/adaptive_join.h"
 #include "common/failpoint.h"
+#include "datagen/generator.h"
+#include "exec/parallel/parallel_join.h"
 #include "exec/scan.h"
 #include "storage/relation.h"
 
@@ -230,6 +233,62 @@ TEST_F(PrefetchFailpointTest, ErrorChunkNeverPreemptsBufferedRows) {
     EXPECT_EQ(ids[i], static_cast<int64_t>(i));
   }
   ASSERT_TRUE(prefetch.Close().ok());
+}
+
+TEST_F(PrefetchFailpointTest, PrefetchFaultSurfacesThroughWrappedSource) {
+  // Under the parallel join, a transient fault in a PrefetchSource
+  // producer must surface like a child error and be absorbed by the
+  // exchange's source-retry loop: rows and adaptation trace stay those
+  // of the fault-free single-threaded run.
+  datagen::TestCaseOptions case_options;
+  case_options.pattern = datagen::PerturbationPattern::kFewHighIntensityRegions;
+  case_options.perturb_parent = false;
+  case_options.variant_rate = 0.10;
+  case_options.atlas.size = 400;
+  case_options.accidents.size = 800;
+  case_options.seed = 20090326;
+  auto tc = datagen::GenerateTestCase(case_options);
+  ASSERT_TRUE(tc.ok());
+
+  adaptive::AdaptiveJoinOptions base;
+  base.join.spec.left_column = datagen::kAccidentsLocationColumn;
+  base.join.spec.right_column = datagen::kAtlasLocationColumn;
+  base.join.spec.sim_threshold = 0.85;
+  base.adaptive.parent_side = Side::kRight;
+  base.adaptive.parent_table_size = tc->parent.size();
+  base.adaptive.delta_adapt = 50;
+  base.adaptive.window = 50;
+
+  RelationScan reference_child(&tc->child);
+  RelationScan reference_parent(&tc->parent);
+  adaptive::AdaptiveJoin reference(&reference_child, &reference_parent, base);
+  auto expected = CollectAll(&reference);
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+
+  RelationScan child_scan(&tc->child);
+  RelationScan parent_scan(&tc->parent);
+  PrefetchSource child(&child_scan);
+  PrefetchSource parent(&parent_scan);
+  parallel::ParallelJoinOptions options;
+  options.base = base;
+  options.num_shards = 2;
+  options.source_retry.max_retries = 2;
+  parallel::ParallelAdaptiveJoin join(&child, &parent, options);
+  fail::ScopedFailpoint guard(
+      fail::site::kIngestPrefetch,
+      fail::Policy::OnNthHit(2, Status::Unavailable("transient blip")));
+  auto result = CollectAll(&join);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_EQ(result->size(), expected->size());
+  for (size_t i = 0; i < expected->size(); ++i) {
+    ASSERT_EQ(result->row(i), expected->row(i)) << "row " << i;
+  }
+  ASSERT_EQ(join.trace().size(), reference.trace().size());
+  for (size_t i = 0; i < reference.trace().size(); ++i) {
+    EXPECT_EQ(join.trace().records()[i], reference.trace().records()[i])
+        << "assessment " << i;
+  }
+  EXPECT_GE(join.source_retries(), 1u);
 }
 
 }  // namespace

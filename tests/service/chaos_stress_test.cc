@@ -65,11 +65,6 @@ ParallelJoinOptions MakeOptions(const datagen::TestCase& tc, size_t flavor) {
   options.base.adaptive.delta_adapt = 50;
   options.base.adaptive.window = 50;
   options.num_shards = 1 + flavor % 3;
-  // Even flavors force the pipelined ingest path on regardless of the
-  // AQP_PIPELINE_INGEST environment override, so the exchange.stage
-  // site is exercised in every CI flavor; odd flavors keep the
-  // process default (serial in the pipeline-off ctest flavor).
-  if (flavor % 2 == 0) options.pipeline_ingest = true;
   switch (flavor % 4) {
     case 0:  // full adaptive
       break;
@@ -438,7 +433,7 @@ TEST(ChaosStressTest, BackToBackBurstsOnOneServiceStayClean) {
 
   const std::vector<std::string> wave_sites = {
       fail::site::kShardPhaseA, fail::site::kExchangeRoute,
-      fail::site::kExchangeStage, fail::site::kServiceFinalize};
+      fail::site::kServiceFinalize};
   for (size_t wave = 0; wave < wave_sites.size(); ++wave) {
     SCOPED_TRACE(testing::Message() << "wave " << wave);
     fail::Arm(wave_sites[wave],
