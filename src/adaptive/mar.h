@@ -49,9 +49,10 @@ struct AdaptiveOptions {
   double theta_out = 0.05;
   /// θ_curpert: µ_i holds ("input i currently unperturbed") iff the
   /// approximate matches attributed to input i within the window do
-  /// not exceed this. The paper reports the tuned value 2 as a count
-  /// (see DESIGN.md §4.2); set `curpert_is_ratio` to interpret the
-  /// predicate as A_{t,W}/W <= theta_curpert_ratio instead.
+  /// not exceed this. The paper reports the tuned value 2 as a count;
+  /// set `curpert_is_ratio` to interpret the predicate as
+  /// A_{t,W}/W <= theta_curpert_ratio instead (an extension, see
+  /// PAPER.md, "This repository").
   uint32_t theta_curpert = 2;
   bool curpert_is_ratio = false;
   double theta_curpert_ratio = 0.02;
@@ -68,7 +69,8 @@ struct AdaptiveOptions {
   /// Custom completeness model; null = ParentChildBinomialModel.
   std::shared_ptr<stats::CompletenessModel> model;
   /// Use raw emitted-pair count as the observed result size O_t
-  /// instead of distinct matched child tuples (see DESIGN.md).
+  /// instead of distinct matched child tuples (an ablation; the
+  /// binomial model of PAPER.md's Assess step counts child tuples).
   bool use_pairs_statistic = false;
 
   /// Extension (off by default — not part of the paper's evaluation):

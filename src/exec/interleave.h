@@ -15,7 +15,8 @@ namespace exec {
 /// The paper's symmetric joins scan "each of the tables in turn, one
 /// tuple at a time" (§2.2) — strict alternation, the default here. The
 /// proportional policy reads the larger input more often so both are
-/// exhausted at about the same time (an ablation knob, see DESIGN.md).
+/// exhausted at about the same time (an ablation knob beyond the paper;
+/// PAPER.md, "This repository", lists the extensions).
 enum class InterleavePolicy {
   /// L, R, L, R, ... then drain the survivor.
   kAlternate,

@@ -115,14 +115,6 @@ std::optional<size_t> MinPairOverlap(text::SimilarityMeasure measure,
   return lo;
 }
 
-bool PositionalCompatible(size_t probe_size, size_t probe_pos,
-                          size_t stored_size, size_t stored_pos,
-                          size_t required_overlap) {
-  const size_t probe_remaining = probe_size - probe_pos - 1;
-  const size_t stored_remaining = stored_size - stored_pos - 1;
-  return 1 + std::min(probe_remaining, stored_remaining) >= required_overlap;
-}
-
 bool GramOrderSampler::Add(exec::Side side, std::string_view key) {
   size_t& sampled = sampled_[static_cast<size_t>(side)];
   if (sampled >= kKeysPerSide) return false;

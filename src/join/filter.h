@@ -117,10 +117,19 @@ std::optional<size_t> MinPairOverlap(text::SimilarityMeasure measure,
 /// exists (the probe scans ascending in the order), so every other
 /// shared gram lies strictly after both positions:
 /// overlap <= 1 + min(probe_size - probe_pos - 1,
-///                    stored_size - stored_pos - 1).
-bool PositionalCompatible(size_t probe_size, size_t probe_pos,
-                          size_t stored_size, size_t stored_pos,
-                          size_t required_overlap);
+///                    stored_size - stored_pos - 1),
+/// tested as its two halves. Both positions are below their sizes.
+///
+/// The bound only tightens along a scan: at any later shared gram both
+/// positions are larger. So a candidate that fails it at its first
+/// shared gram fails it at every later one, and the prefix-filtered
+/// probe can drop each failing posting on its own, before T(t).
+inline bool PositionalCompatible(size_t probe_size, size_t probe_pos,
+                                 size_t stored_size, size_t stored_pos,
+                                 size_t required_overlap) {
+  return probe_size - probe_pos >= required_overlap &&
+         stored_size - stored_pos >= required_overlap;
+}
 
 /// \brief Derives the gram order of a filtered join whose caller
 /// supplied none: the sampled gram frequencies of the first

@@ -14,16 +14,22 @@ namespace join {
 
 namespace {
 
-/// Sticky T(t) marker for a candidate the positional filter rejected:
-/// the rejection proved the pair's total overlap can never reach the
-/// required minimum, so the candidate must not be re-inserted (or
-/// verified) by later grams. Real counters never get near this value —
-/// they are bounded by the probe's gram count.
+/// Sticky T(t) marker of the filtered kernel without prefix filtering,
+/// for a candidate the positional filter rejected: there the counter is
+/// the overlap, so a rejected tuple must stay marked, or a later shared
+/// gram would count it. Real counters never get near this value — they
+/// are bounded by the probe's gram count.
 constexpr uint32_t kRejectedSentinel = std::numeric_limits<uint32_t>::max();
 
 /// Bound-table value for a stored gram count that cannot reach the
-/// threshold even at full overlap (MinPairOverlap's nullopt).
+/// threshold even at full overlap (MinPairOverlap's nullopt). No
+/// position gap reaches it, so the positional test rejects it as well.
 constexpr uint32_t kUnreachable = std::numeric_limits<uint32_t>::max();
+
+/// Candidates between the one verification reads and the one whose
+/// gram keys it starts loading; their gram-set headers are loaded twice
+/// as far ahead.
+constexpr size_t kVerifyPrefetchDistance = 4;
 
 /// Readies the scratch for one probe of an index holding `watermark`
 /// tuples: T(t) covers every indexed id and is all-zero (a probe that
@@ -34,11 +40,16 @@ void BeginProbe(ApproxProbeScratch& work, size_t watermark) {
   if (work.counters.size() < watermark) work.counters.resize(watermark, 0);
 }
 
+uint32_t ToBound(std::optional<size_t> required) {
+  return required.has_value() ? static_cast<uint32_t>(*required)
+                              : kUnreachable;
+}
+
 /// The scratch's bounds for a probe with `g` grams under `spec`'s
 /// predicate, computed on first use. A scratch serves one predicate at
 /// a time; another one clears the table.
-ProbeBounds& BoundsFor(ApproxProbeScratch& work, const JoinSpec& spec,
-                       size_t g) {
+const ProbeBounds& BoundsFor(ApproxProbeScratch& work, const JoinSpec& spec,
+                             size_t g) {
   if (work.bounds_measure != spec.measure ||
       work.bounds_threshold != spec.sim_threshold) {
     work.bounds.clear();
@@ -47,32 +58,30 @@ ProbeBounds& BoundsFor(ApproxProbeScratch& work, const JoinSpec& spec,
   }
   if (g >= work.bounds.size()) work.bounds.resize(g + 1);
   ProbeBounds& bounds = work.bounds[g];
-  if (!bounds.ready) {
-    bounds.band = LengthBandFor(spec.measure, g, spec.sim_threshold);
-    bounds.insert_end =
-        text::PrefixLengthFor(spec.measure, g, spec.sim_threshold);
-    bounds.k =
-        text::MinOverlapForThreshold(spec.measure, g, spec.sim_threshold);
-    bounds.ready = true;
+  if (bounds.ready) return bounds;
+  const text::SimilarityMeasure measure = spec.measure;
+  const double threshold = spec.sim_threshold;
+  bounds.band = LengthBandFor(measure, g, threshold);
+  bounds.insert_end = text::PrefixLengthFor(measure, g, threshold);
+  bounds.k = text::MinOverlapForThreshold(measure, g, threshold);
+  // MinPairOverlap has a value exactly on the length band: both ask
+  // whether full overlap reaches the threshold.
+  const GramCountBand band = bounds.band;
+  const bool unbounded = band.hi == std::numeric_limits<size_t>::max();
+  const size_t table_end = unbounded ? g : band.hi;
+  bounds.required.assign(table_end + 1, kUnreachable);
+  for (size_t s = band.lo; s <= table_end; ++s) {
+    bounds.required[s] = ToBound(MinPairOverlap(measure, g, s, threshold));
   }
+  bounds.required_beyond =
+      unbounded ? ToBound(MinPairOverlap(measure, g, g + 1, threshold))
+                : kUnreachable;
+  assert(band.lo == 0 || band.lo > band.hi ||
+         !MinPairOverlap(measure, g, band.lo - 1, threshold).has_value());
+  assert(unbounded || !MinPairOverlap(measure, g, band.hi + 1, threshold)
+                           .has_value());
+  bounds.ready = true;
   return bounds;
-}
-
-/// MinPairOverlap of a probe with `g` grams against a stored tuple with
-/// `stored_size` grams (kUnreachable for nullopt), memoized in
-/// the probe's bounds across probes.
-uint32_t RequiredOverlap(ProbeBounds& bounds, const JoinSpec& spec, size_t g,
-                         size_t stored_size) {
-  std::vector<uint32_t>& table = bounds.required;
-  if (stored_size >= table.size()) table.resize(stored_size + 1, 0);
-  uint32_t& slot = table[stored_size];
-  if (slot == 0) {
-    const std::optional<size_t> required =
-        MinPairOverlap(spec.measure, g, stored_size, spec.sim_threshold);
-    slot = required.has_value() ? static_cast<uint32_t>(*required)
-                                : kUnreachable;
-  }
-  return slot;
 }
 
 /// Appends one verified match, deciding exact vs approximate by
@@ -97,6 +106,11 @@ void EmitMatch(const storage::TupleStore& store, std::string_view probe_key,
 /// grams ascending in the fixed global gram order, ranked before the
 /// probe). Exact — see join/filter.h for the per-filter soundness
 /// arguments.
+///
+/// Its cost is memory latency, so every batch of independent lookups
+/// is issued before the first of them is waited on: the prefix grams'
+/// table slots, then their lists' heads, then (a few candidates ahead)
+/// the gram sets verification reads.
 void FilteredProbe(const QGramIndex& index, const storage::TupleStore& store,
                    std::string_view probe_key,
                    const text::GramSet& probe_grams,
@@ -106,7 +120,7 @@ void FilteredProbe(const QGramIndex& index, const storage::TupleStore& store,
                    std::vector<JoinMatch>* out) {
   const ApproxFilterOptions& filter = index.filter();
   const size_t g = probe_grams.size();
-  ProbeBounds& bounds = BoundsFor(work, spec, g);
+  const ProbeBounds& bounds = BoundsFor(work, spec, g);
   const size_t k = bounds.k;
   GramCountBand band;
   if (filter.length) {
@@ -126,27 +140,66 @@ void FilteredProbe(const QGramIndex& index, const storage::TupleStore& store,
          "probe prefix cut under another rule");
   const text::GramKey* const grams = probe_grams.grams().data();
 
-  uint32_t* const counters = work.counters.data();
-  auto& touched = work.touched;
-
-  size_t rejected = 0;
+  for (uint32_t position : probe_prefix) {
+    index.PrefetchPayloadPostings(grams[position]);
+  }
+  auto& lists = work.lists;
+  lists.clear();
   for (size_t i = 0; i < scan_end; ++i) {
     const std::vector<GramPosting>* postings =
         index.PayloadPostings(grams[probe_prefix[i]]);
+    if (postings != nullptr) __builtin_prefetch(postings->data());
+    lists.push_back(postings);
+  }
+
+  uint32_t* const counters = work.counters.data();
+  auto& touched = work.touched;
+  uint64_t length_skipped = 0;
+  uint64_t position_rejected = 0;
+  uint64_t postings_scanned = 0;
+  size_t rejected = 0;
+  for (size_t i = 0; i < scan_end; ++i) {
+    const std::vector<GramPosting>* postings = lists[i];
     if (postings == nullptr) continue;
-    if (stats != nullptr) stats->postings_scanned += postings->size();
+    postings_scanned += postings->size();
     const bool may_insert = i < insert_end;
     for (const GramPosting& posting : *postings) {
+      // Every test on the posting's own payload comes before T(t) is
+      // read. A nonzero counter implies an in-band tuple, so an
+      // out-of-band posting is one the counter would not have kept
+      // either.
+      if (filter.length && !band.Contains(posting.gram_count)) {
+        if (may_insert) ++length_skipped;
+        continue;
+      }
+      if (filter.prefix) {
+        // T(t) is only a membership mark here (scan_end == insert_end:
+        // every scanned gram may insert). A posting failing the
+        // positional bound is dropped unmarked: at its tuple's first
+        // shared gram the bound caps the whole overlap, and at every
+        // later one it fails again (see PositionalCompatible), so a
+        // tuple is inserted iff it passes at its first shared gram —
+        // and verification needs no sentinel test.
+        if (filter.positional &&
+            !PositionalCompatible(
+                g, i, posting.gram_count, posting.position,
+                bounds.RequiredOverlap(posting.gram_count))) {
+          ++position_rejected;
+          continue;
+        }
+        uint32_t& count = counters[posting.id];
+        if (count == 0) {
+          count = 1;
+          touched.push_back(posting.id);
+        }
+        continue;
+      }
       uint32_t& count = counters[posting.id];
       if (count != 0) {
         if (count != kRejectedSentinel) ++count;
         continue;
       }
       if (!may_insert) continue;
-      if (filter.length && !band.Contains(posting.gram_count)) {
-        if (stats != nullptr) ++stats->length_skipped;
-        continue;
-      }
       touched.push_back(posting.id);
       if (filter.positional) {
         // First discovery of this candidate = the pair's smallest
@@ -154,24 +207,28 @@ void FilteredProbe(const QGramIndex& index, const storage::TupleStore& store,
         // have been scanned and posted — see filter.h), so the
         // remaining-suffix bound on the total overlap is valid here
         // and *stays* valid: rejection is permanent.
-        const uint32_t required =
-            RequiredOverlap(bounds, spec, g, posting.gram_count);
-        if (required == kUnreachable ||
-            !PositionalCompatible(g, i, posting.gram_count, posting.position,
-                                  required)) {
+        if (!PositionalCompatible(
+                g, i, posting.gram_count, posting.position,
+                bounds.RequiredOverlap(posting.gram_count))) {
           count = kRejectedSentinel;
           ++rejected;
-          if (stats != nullptr) ++stats->position_rejected;
+          ++position_rejected;
           continue;
         }
       }
       count = 1;
     }
   }
-  if (stats != nullptr) stats->candidates += touched.size() - rejected;
+  if (stats != nullptr) {
+    stats->postings_scanned += postings_scanned;
+    stats->length_skipped += length_skipped;
+    stats->position_rejected += position_rejected;
+    stats->candidates += touched.size() - rejected;
+  }
 
   // Verification walks T(t) in discovery order and zeroes each counter
   // it reads, so the table is clean again when the probe returns.
+  const size_t candidates = touched.size();
   if (filter.prefix) {
     // Prefix postings undercount shared grams, so the counter cannot
     // drive verification; intersect the gram sets instead. A pair whose
@@ -180,14 +237,19 @@ void FilteredProbe(const QGramIndex& index, const storage::TupleStore& store,
     // intersection may give up on it; every other pair gets its exact
     // overlap, fed through the same coefficient as the unfiltered
     // counter would be — bytewise identical output.
-    for (storage::TupleId candidate : touched) {
-      if (std::exchange(counters[candidate], 0) == kRejectedSentinel) {
-        continue;
+    for (size_t c = 0; c < candidates; ++c) {
+      if (c + 2 * kVerifyPrefetchDistance < candidates) {
+        index.PrefetchGramSet(touched[c + 2 * kVerifyPrefetchDistance]);
       }
+      if (c + kVerifyPrefetchDistance < candidates) {
+        index.PrefetchGramKeys(touched[c + kVerifyPrefetchDistance]);
+      }
+      const storage::TupleId candidate = touched[c];
+      counters[candidate] = 0;
       if (stats != nullptr) ++stats->verified;
       const text::GramSet& candidate_grams = index.GramSetOf(candidate);
       const uint32_t required =
-          RequiredOverlap(bounds, spec, g, candidate_grams.size());
+          bounds.RequiredOverlap(candidate_grams.size());
       if (required == kUnreachable) continue;
       const size_t overlap =
           probe_grams.OverlapAtLeast(candidate_grams, required);
@@ -220,6 +282,7 @@ void FilteredProbe(const QGramIndex& index, const storage::TupleStore& store,
 size_t ApproxProbeScratch::ApproximateMemoryUsage() const {
   size_t bytes = ranked.capacity() * sizeof(ranked[0]) +
                  prefix.capacity() * sizeof(uint32_t) +
+                 lists.capacity() * sizeof(lists[0]) +
                  counters.capacity() * sizeof(uint32_t) +
                  touched.capacity() * sizeof(storage::TupleId) +
                  bounds.capacity() * sizeof(ProbeBounds);
@@ -315,12 +378,13 @@ size_t ProbeApproximateInto(const QGramIndex& index,
     // frequency order" = rarest first. Positions break ties in key
     // order, since grams() is key-sorted.
     const std::vector<text::GramKey>& grams = probe_grams.grams();
+    // One key per gram, frequency above position: a posting list never
+    // holds 2^32 ids, so comparing keys compares (frequency, position).
     auto& ranked = work.ranked;
     ranked.clear();
     ranked.reserve(g);
     for (size_t i = 0; i < g; ++i) {
-      ranked.emplace_back(index.Frequency(grams[i]),
-                          static_cast<uint32_t>(i));
+      ranked.push_back(uint64_t{index.Frequency(grams[i])} << 32 | i);
     }
     if (options.rare_grams_first) {
       std::sort(ranked.begin(), ranked.end());
@@ -335,7 +399,7 @@ size_t ProbeApproximateInto(const QGramIndex& index,
         options.insert_phase_optimization && k <= g ? g - k + 1 : g;
     for (size_t i = 0; i < g; ++i) {
       const std::vector<storage::TupleId>* postings =
-          index.Postings(grams[ranked[i].second]);
+          index.Postings(grams[static_cast<uint32_t>(ranked[i])]);
       if (postings == nullptr) continue;
       if (stats != nullptr) stats->postings_scanned += postings->size();
       const bool may_insert = i < insert_phase_end;
@@ -368,8 +432,8 @@ size_t ProbeApproximateInto(const QGramIndex& index,
                 stats, out);
     }
   }
-  // Both kernels zeroed every counter they set while verifying.
-  work.touched.clear();
+  // Both kernels zeroed every counter they set while verifying; the
+  // next probe's BeginProbe clears the list.
   // Deterministic output order: T(t) is walked in discovery order, and
   // matches are reported by stored id. Only the region this probe
   // appended is reordered.

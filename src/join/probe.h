@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "join/exact_index.h"
@@ -33,7 +32,8 @@ struct ApproxProbeOptions {
 /// \brief Bounds of the filtered kernel for one probe gram count g,
 /// under the scratch's (measure, threshold). Every entry is the same
 /// function at the same arguments the kernel would otherwise evaluate
-/// per probe, so memoizing them changes no decision.
+/// per probe, so memoizing them changes no decision. All are filled
+/// when the bounds are first used, so the posting loop only reads them.
 struct ProbeBounds {
   bool ready = false;
   /// LengthBandFor(measure, g, threshold).
@@ -43,9 +43,19 @@ struct ProbeBounds {
   /// MinOverlapForThreshold(measure, g, threshold).
   size_t k = 0;
   /// MinPairOverlap(measure, g, s, threshold) per stored gram count s
-  /// (0 = not computed yet, UINT32_MAX when even full overlap falls
-  /// short).
+  /// from 0 to the band's end (UINT32_MAX when even full overlap falls
+  /// short, as it does outside the band): 4 B per feasible gram count.
   std::vector<uint32_t> required;
+  /// The same for every s past the table: UINT32_MAX past a bounded
+  /// band. Only the overlap coefficient's band is unbounded, and its
+  /// table ends at s = g, past which min(g, s) = g and the bound no
+  /// longer depends on s.
+  uint32_t required_beyond = 0;
+
+  /// MinPairOverlap for a stored gram count `s`.
+  uint32_t RequiredOverlap(size_t s) const {
+    return s < required.size() ? required[s] : required_beyond;
+  }
 };
 
 /// \brief Reusable probe working memory.
@@ -62,18 +72,27 @@ struct ProbeBounds {
 /// it costs 4 B per stored tuple and never more than the largest index
 /// the scratch has probed. Between probes every counter is 0.
 struct ApproxProbeScratch {
-  /// (rank, gram position) pairs. The unfiltered kernel ranks by live
-  /// posting frequency ("reverse frequency order"); the probe entry
-  /// point without an ordered prefix ranks a filtered probe by the
-  /// index's gram order (text::OrderedPrefixInto) here.
-  std::vector<std::pair<uint64_t, uint32_t>> ranked;
+  /// One `rank << 32 | gram position` key per probe gram. The
+  /// unfiltered kernel ranks by live posting frequency ("reverse
+  /// frequency order"); the probe entry point without an ordered prefix
+  /// ranks a filtered probe by the index's gram order
+  /// (text::OrderedPrefixInto) here.
+  std::vector<uint64_t> ranked;
   /// The ordered prefix computed by that entry point.
   std::vector<uint32_t> prefix;
+  /// The filtered kernel's posting lists of the probe's ordered prefix
+  /// (null for a gram the index does not hold), resolved as one batch
+  /// before the scan.
+  std::vector<const std::vector<GramPosting>*> lists;
   /// T(t), indexed by stored TupleId: 0 = not a candidate, n = n shared
-  /// grams seen so far, or the filtered kernel's rejected sentinel.
+  /// grams seen so far (a membership mark of 1 under prefix filtering),
+  /// or the rejected sentinel of a filtered kernel without prefix
+  /// filtering.
   std::vector<uint32_t> counters;
-  /// Ids whose counter this probe made nonzero, in discovery order; the
-  /// probe resets exactly these before it returns.
+  /// Ids whose counter the probe made nonzero, in discovery order. The
+  /// probe zeroes exactly these counters before it returns and keeps the
+  /// list until the next probe begins. Under prefix filtering it holds
+  /// exactly the candidates.
   std::vector<storage::TupleId> touched;
   /// Filtered kernel bounds per probe gram count, valid for
   /// (bounds_measure, bounds_threshold) and cleared only when a probe
@@ -92,7 +111,7 @@ struct ApproxProbeStats {
   uint64_t grams = 0;                ///< |q(t)| of the probe
   uint64_t postings_scanned = 0;     ///< Σ posting-list lengths touched
   uint64_t candidates = 0;           ///< |T(t)| (positionally rejected
-                                     ///< entries excluded)
+                                     ///< tuples excluded)
   uint64_t verified = 0;             ///< candidates submitted to
                                      ///< verification (merges the
                                      ///< bounded intersection
@@ -100,8 +119,11 @@ struct ApproxProbeStats {
   uint64_t matches = 0;              ///< pairs passing the threshold
   uint64_t length_skipped = 0;       ///< posting entries pruned by the
                                      ///< length filter
-  uint64_t position_rejected = 0;    ///< candidates pruned by the
-                                     ///< positional filter
+  uint64_t position_rejected = 0;    ///< posting entries pruned by
+                                     ///< the positional filter (under
+                                     ///< prefix filtering every entry
+                                     ///< failing the bound; otherwise
+                                     ///< each tuple once, at discovery)
 
   void MergeFrom(const ApproxProbeStats& other);
 };
@@ -146,7 +168,8 @@ std::vector<JoinMatch> ProbeExact(const ExactIndex& index,
 /// and gram order: probe grams are scanned ascending in that fixed
 /// global order, out-of-band candidates are length-skipped before
 /// touching T(t), positionally hopeless candidates are rejected at
-/// discovery, and with prefix indexing only the probe's g-k+1 prefix
+/// discovery (with prefix indexing, before touching T(t) as well), and
+/// with prefix indexing only the probe's g-k+1 prefix
 /// grams are scanned (candidates then verified by a gram-set
 /// intersection that gives up once the pair's minimum overlap is out
 /// of reach — such a pair cannot match, and every pair that can gets

@@ -43,7 +43,7 @@ size_t QGramIndex::CatchUpWith(const storage::TupleStore& store) {
                            store.prefix_rule() != nullptr &&
                            *store.prefix_rule() == rule_;
   std::vector<uint32_t> local_prefix;
-  std::vector<std::pair<uint64_t, uint32_t>> rank_scratch;
+  std::vector<uint64_t> rank_scratch;
   for (size_t i = watermark_; i < target; ++i) {
     const auto id = static_cast<storage::TupleId>(i);
     if (!store_backed_) {

@@ -97,6 +97,13 @@ class QGramIndex {
     return payload_postings_.Find(key);
   }
 
+  /// Starts loading the table slot of a gram's payload posting list
+  /// (text::GramKeyTable::Prefetch). Payload layout only.
+  void PrefetchPayloadPostings(text::GramKey key) const {
+    assert(payload_mode() && "payload postings require an enabled filter");
+    payload_postings_.Prefetch(key);
+  }
+
   /// True iff the index stores payload postings (some filter enabled).
   bool payload_mode() const { return filter_.any(); }
 
@@ -136,6 +143,16 @@ class QGramIndex {
   /// bound store serves it, otherwise the local fallback copy.
   const text::GramSet& GramSetOf(storage::TupleId id) const {
     return store_backed_ ? store_->Grams(id) : local_gram_sets_[id];
+  }
+
+  /// Starts loading the gram set of an indexed tuple: its header, or
+  /// the head of its sorted keys, which reads the header. A caller
+  /// walking candidates issues the header some steps before the keys.
+  void PrefetchGramSet(storage::TupleId id) const {
+    __builtin_prefetch(&GramSetOf(id));
+  }
+  void PrefetchGramKeys(storage::TupleId id) const {
+    __builtin_prefetch(GramSetOf(id).grams().data());
   }
 
   /// Indexed tuples whose join attribute produced no grams (empty

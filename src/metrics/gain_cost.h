@@ -31,7 +31,7 @@ struct GainCost {
 
   /// (c_abs - c) / (C - c): the gap-normalized variant (0 = as cheap
   /// as all-exact, 1 = as expensive as all-approximate); reported
-  /// alongside for interpretability (see DESIGN.md).
+  /// alongside for interpretability, not part of the paper.
   double RelativeCostGap() const;
 
   /// e = g_rel / c_rel, the efficiency index under each column of

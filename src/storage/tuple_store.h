@@ -308,7 +308,7 @@ class TupleStore {
   std::optional<text::PrefixRule> prefix_rule_;
   mutable std::vector<PrefixSlot> prefix_slots_;
   mutable std::vector<uint32_t> prefix_positions_;
-  mutable std::vector<std::pair<uint64_t, uint32_t>> prefix_scratch_;
+  mutable std::vector<uint64_t> prefix_scratch_;
 };
 
 }  // namespace storage

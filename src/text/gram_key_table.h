@@ -44,6 +44,15 @@ class GramKeyTable {
     }
   }
 
+  /// Starts loading the home slot of `key` into the cache, so that a
+  /// Find() of it issued a little later does not wait on memory;
+  /// prefetching a batch of keys first overlaps their misses. A no-op
+  /// on an empty table.
+  void Prefetch(GramKey key) const {
+    if (size_ == 0) return;
+    __builtin_prefetch(&slots_[SlotOf(key)]);
+  }
+
   /// The value stored under `key`, claiming a slot (value-initialized,
   /// hence vacant) when there is none. The reference is valid until
   /// the next Insert().

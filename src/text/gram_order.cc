@@ -13,7 +13,10 @@ void GramOrder::AddSample(std::string_view s, const QGramOptions& options) {
 
 void GramOrder::AddFrequency(GramKey key, uint64_t count) {
   if (count == 0) return;
-  frequencies_.Insert(key) += count;
+  uint64_t& frequency = frequencies_.Insert(key);
+  frequency += count;
+  assert(frequency < (uint64_t{1} << 32) &&
+         "gram frequency outgrew OrderedPrefixInto's 32-bit rank field");
 }
 
 bool GramOrder::operator==(const GramOrder& other) const {
@@ -26,7 +29,7 @@ bool GramOrder::operator==(const GramOrder& other) const {
 }
 
 void OrderedPrefixInto(const GramSet& set, const PrefixRule& rule,
-                       std::vector<std::pair<uint64_t, uint32_t>>* scratch,
+                       std::vector<uint64_t>* scratch,
                        std::vector<uint32_t>* out) {
   const size_t g = set.size();
   const size_t length = rule.LengthFor(g);
@@ -38,18 +41,27 @@ void OrderedPrefixInto(const GramSet& set, const PrefixRule& rule,
     }
     return;
   }
+  const GramOrder& order = *rule.order;
   const std::vector<GramKey>& grams = set.grams();
-  scratch->clear();
-  scratch->reserve(g);
+  // Issue every frequency-table load before the first one is read.
+  for (GramKey key : grams) order.PrefetchFrequency(key);
+  // One key per gram, frequency above position: frequencies stay below
+  // 2^32 (GramOrder::AddFrequency) and positions below g, so comparing
+  // keys compares (frequency, position) pairs.
+  scratch->resize(g);
+  uint64_t* const keys = scratch->data();
   for (size_t i = 0; i < g; ++i) {
-    scratch->emplace_back(rule.order->FrequencyOf(grams[i]),
-                          static_cast<uint32_t>(i));
+    keys[i] = order.FrequencyOf(grams[i]) << 32 | i;
   }
-  // Only the kept grams need their rank; the pairs are distinct, so the
-  // partial sort yields exactly the full sort's first `length` entries.
-  const auto kept = scratch->begin() + static_cast<ptrdiff_t>(length);
-  std::partial_sort(scratch->begin(), kept, scratch->end());
-  for (auto it = scratch->begin(); it != kept; ++it) out->push_back(it->second);
+  // Only the kept grams need their rank; the keys are distinct, so
+  // selecting them and sorting just those yields exactly the full
+  // sort's first `length` entries.
+  uint64_t* const kept = keys + length;
+  std::nth_element(keys, kept, keys + g);
+  std::sort(keys, kept);
+  for (const uint64_t* it = keys; it != kept; ++it) {
+    out->push_back(static_cast<uint32_t>(*it));
+  }
 }
 
 }  // namespace text

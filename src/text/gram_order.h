@@ -45,6 +45,9 @@ class GramOrder {
   void AddSample(std::string_view s, const QGramOptions& options);
 
   /// Adds `count` observations of one gram (tests, precomputed tables).
+  /// A frequency must stay below 2^32 (asserted in Debug builds), so a
+  /// prefix ranks each gram by one 64-bit key (OrderedPrefixInto); the
+  /// engines sample at most 2 × 256 keys.
   void AddFrequency(GramKey key, uint64_t count);
 
   /// Sampled frequency of a gram (0 if never seen).
@@ -52,6 +55,10 @@ class GramOrder {
     const uint64_t* frequency = frequencies_.Find(key);
     return frequency == nullptr ? 0 : *frequency;
   }
+
+  /// Starts loading the frequency-table slot of `key` (see
+  /// GramKeyTable::Prefetch).
+  void PrefetchFrequency(GramKey key) const { frequencies_.Prefetch(key); }
 
   /// The sort key realizing the order: ascending (frequency, key) =
   /// rarest first, ties broken by the exact gram identity.
@@ -129,10 +136,11 @@ class PrefixView {
 /// order — the one place a gram set is ranked for the filtered index
 /// and probe. Ties in frequency fall back to key order, which is
 /// position order because grams() is key-sorted, so ranking (frequency,
-/// position) realizes the order's (frequency, key). `scratch` is
-/// reusable working memory.
+/// position) realizes the order's (frequency, key); each gram is ranked
+/// by the one key `frequency << 32 | position`. `scratch` is reusable
+/// working memory.
 void OrderedPrefixInto(const GramSet& set, const PrefixRule& rule,
-                       std::vector<std::pair<uint64_t, uint32_t>>* scratch,
+                       std::vector<uint64_t>* scratch,
                        std::vector<uint32_t>* out);
 
 }  // namespace text

@@ -9,9 +9,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <memory>
+#include <optional>
+#include <random>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "join/join_types.h"
 #include "text/gram_order.h"
+#include "text/qgram.h"
 #include "text/similarity.h"
 
 namespace aqp {
@@ -138,6 +146,88 @@ TEST(PositionalFilterTest, BoundaryExact) {
   // Last gram on both sides: only the discovered gram can be shared.
   EXPECT_TRUE(PositionalCompatible(10, 9, 12, 11, 1));
   EXPECT_FALSE(PositionalCompatible(10, 9, 12, 11, 2));
+}
+
+TEST(PositionalFilterTest, RejectionAtFirstSharedPrefixGramIsPermanent) {
+  // The prefix-filtered probe drops every posting that fails the
+  // positional bound without marking its tuple, which is exact only if
+  // a pair failing the bound at its first shared prefix gram fails it
+  // at every later shared prefix gram too. Random gram sets under
+  // random sampled orders (ties and unsampled grams included), every
+  // measure, several thresholds.
+  std::mt19937 rng(29);
+  const std::string alphabet = "ABCDEFG xyz";
+  const auto random_string = [&] {
+    std::string s;
+    const size_t length = 3 + rng() % 22;
+    for (size_t i = 0; i < length; ++i) s += alphabet[rng() % alphabet.size()];
+    return s;
+  };
+  const text::QGramOptions options;
+  size_t first_rejected = 0, later_checked = 0, first_passed = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    auto order = std::make_shared<text::GramOrder>();
+    for (int i = 0; i < 6; ++i) {
+      const text::GramSet sample = text::GramSet::Of(random_string(), options);
+      for (text::GramKey key : sample.grams()) {
+        if (rng() % 4 != 0) order->AddFrequency(key, 1 + rng() % 3);
+      }
+    }
+    const std::string probe_key = random_string();
+    const text::GramSet probe = text::GramSet::Of(probe_key, options);
+    for (int n = 0; n < 8; ++n) {
+      // Stored strings share a stretch with the probe, so pairs share
+      // prefix grams often.
+      std::string stored_key = random_string();
+      stored_key.insert(rng() % (stored_key.size() + 1),
+                        probe_key.substr(rng() % probe_key.size()));
+      const text::GramSet stored = text::GramSet::Of(stored_key, options);
+      for (SimilarityMeasure measure : kAllMeasures) {
+        for (double threshold : {0.3, 0.6, 0.85}) {
+          const text::PrefixRule rule{order, measure, threshold, true};
+          std::vector<uint64_t> scratch;
+          std::vector<uint32_t> probe_prefix, stored_prefix;
+          text::OrderedPrefixInto(probe, rule, &scratch, &probe_prefix);
+          text::OrderedPrefixInto(stored, rule, &scratch, &stored_prefix);
+          const std::optional<size_t> min_overlap = MinPairOverlap(
+              measure, probe.size(), stored.size(), threshold);
+          const size_t required = min_overlap.value_or(SIZE_MAX);
+          // Shared prefix grams in the probe's scan order, with their
+          // positions in both ordered prefixes.
+          std::vector<std::pair<size_t, size_t>> shared;
+          for (size_t i = 0; i < probe_prefix.size(); ++i) {
+            const text::GramKey key = probe.grams()[probe_prefix[i]];
+            for (size_t j = 0; j < stored_prefix.size(); ++j) {
+              if (stored.grams()[stored_prefix[j]] == key) {
+                shared.emplace_back(i, j);
+              }
+            }
+          }
+          if (shared.empty()) continue;
+          const auto compatible = [&](std::pair<size_t, size_t> at) {
+            return PositionalCompatible(probe.size(), at.first,
+                                        stored.size(), at.second, required);
+          };
+          if (compatible(shared.front())) {
+            ++first_passed;
+            continue;
+          }
+          ++first_rejected;
+          for (size_t s = 1; s < shared.size(); ++s) {
+            ASSERT_GT(shared[s].second, shared[s - 1].second)
+                << "prefixes disagree on the gram order";
+            ASSERT_FALSE(compatible(shared[s]))
+                << "trial " << trial << " \"" << probe_key << "\" vs \""
+                << stored_key << "\" at shared gram " << s;
+            ++later_checked;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(first_rejected, 0u);
+  EXPECT_GT(later_checked, 0u);
+  EXPECT_GT(first_passed, 0u);
 }
 
 TEST(FilterOptionsTest, LabelsAndAny) {

@@ -359,9 +359,11 @@ bool AllZero(const std::vector<uint32_t>& counters) {
 
 TEST(ProbeScratchTest, CounterTableIsCleanAfterEveryProbe) {
   // T(t) is a dense table the probe resets itself: after every probe,
-  // including ones whose T(t) held only position-rejected entries,
+  // including ones whose every posting the positional filter dropped,
   // every counter is zero; the table covers the largest index probed
-  // so far and never grows past it.
+  // so far and never grows past it. Under prefix filtering the touched
+  // list holds candidates only (no position-rejected entries), each
+  // once, and verification read every one of them.
   const datagen::TestCase tc = GoldenCase();
   JoinSpec spec = Spec(0.85);
   spec.filter = ApproxFilterOptions::Full();
@@ -392,7 +394,12 @@ TEST(ProbeScratchTest, CounterTableIsCleanAfterEveryProbe) {
       ++rejected_only_probes;
     }
     ASSERT_TRUE(AllZero(scratch.counters)) << "after probe " << i;
-    ASSERT_TRUE(scratch.touched.empty());
+    ASSERT_EQ(scratch.touched.size(), stats.candidates) << "probe " << i;
+    ASSERT_EQ(stats.verified, stats.candidates) << "probe " << i;
+    std::vector<TupleId> distinct = scratch.touched;
+    std::sort(distinct.begin(), distinct.end());
+    ASSERT_TRUE(std::adjacent_find(distinct.begin(), distinct.end()) ==
+                distinct.end());
     ASSERT_EQ(scratch.counters.size(), index.watermark());
   }
   EXPECT_GT(rejected_only_probes, 0u);
@@ -416,7 +423,7 @@ TEST(ProbeScratchTest, CounterTableIsCleanAfterEveryProbe) {
                        &out);
   EXPECT_EQ(wide_stats.candidates, 1200u);
   EXPECT_TRUE(AllZero(scratch.counters));
-  EXPECT_TRUE(scratch.touched.empty());
+  EXPECT_EQ(scratch.touched.size(), wide_stats.candidates);
   EXPECT_EQ(scratch.counters.size(), 1200u);
 
   Fixture narrow;
@@ -487,7 +494,11 @@ TEST(ProbeGoldenTest, FilteredKernelCountersAreUnchanged) {
   EXPECT_EQ(stats.verified, 1618u);
   EXPECT_EQ(stats.matches, 788u);
   EXPECT_EQ(stats.length_skipped, 3436u);
-  EXPECT_EQ(stats.position_rejected, 4737u);
+  // Postings the positional filter dropped, each failing posting
+  // counted (the prefix-filtered kernel tests the bound before T(t) and
+  // marks no rejected tuple); it counted each rejected tuple once, at
+  // its first shared gram, as 4737 before.
+  EXPECT_EQ(stats.position_rejected, 7518u);
   EXPECT_EQ(out.size(), stats.matches);
 }
 

@@ -152,7 +152,7 @@ TEST(TupleStorePrefixLaneTest, PrefixIsRankedOnceInAnyFillOrder) {
     // Fill out of id order (as probes and catch-ups do), then read
     // every prefix back through both accessors.
     std::vector<std::vector<uint32_t>> want(lane.size());
-    std::vector<std::pair<uint64_t, uint32_t>> scratch;
+    std::vector<uint64_t> scratch;
     size_t positions = 0;
     for (size_t n = 0; n < lane.size(); ++n) {
       const auto id = static_cast<TupleId>((n * 7) % lane.size());

@@ -11,6 +11,8 @@
 #include <utility>
 #include <vector>
 
+#include "text/gram_key_table.h"
+
 namespace aqp {
 namespace text {
 namespace {
@@ -155,7 +157,7 @@ TEST(OrderedPrefixTest, MatchesFullSortForRandomSetsAndOrders) {
       SimilarityMeasure::kCosine, SimilarityMeasure::kOverlap};
   size_t saw_key_zero = 0, saw_single = 0, saw_whole_prefix = 0,
          saw_short_prefix = 0;
-  std::vector<std::pair<uint64_t, uint32_t>> scratch;
+  std::vector<uint64_t> scratch;
   for (int trial = 0; trial < 400; ++trial) {
     QGramOptions options;
     options.q = 1 + trial % 4;
@@ -198,6 +200,52 @@ TEST(OrderedPrefixTest, MatchesFullSortForRandomSetsAndOrders) {
   EXPECT_GT(saw_single, 0u);
   EXPECT_GT(saw_whole_prefix, 0u);
   EXPECT_GT(saw_short_prefix, 0u);
+}
+
+TEST(OrderedPrefixTest, PackedKeysRankLikeFrequencyPositionPairs) {
+  // Each gram is ranked by one `frequency << 32 | position` key. That
+  // must order exactly like (frequency, position) pairs: frequencies
+  // at both ends of the 32-bit field, ties among them, and unsampled
+  // grams (frequency 0), under every prefix cut.
+  const GramSet set = GramSet::Of("ABCDEFGHIJKLMNOPQRSTUVWXYZ", QGramOptions{});
+  const uint64_t frequencies[] = {0, (uint64_t{1} << 32) - 1, 1,
+                                  uint64_t{1} << 31, 1, 0};
+  auto order = std::make_shared<GramOrder>();
+  std::vector<std::pair<uint64_t, uint32_t>> pairs;
+  for (size_t i = 0; i < set.size(); ++i) {
+    const uint64_t frequency = frequencies[(i * 5) % 6];
+    order->AddFrequency(set.grams()[i], frequency);
+    pairs.emplace_back(frequency, static_cast<uint32_t>(i));
+  }
+  std::sort(pairs.begin(), pairs.end());
+  std::vector<uint64_t> scratch;
+  for (const double threshold : {0.3, 0.6, 0.85, 1.0}) {
+    for (const bool prefix : {true, false}) {
+      const PrefixRule rule{order, SimilarityMeasure::kJaccard, threshold,
+                            prefix};
+      const size_t kept = rule.LengthFor(set.size());
+      std::vector<uint32_t> got;
+      OrderedPrefixInto(set, rule, &scratch, &got);
+      std::vector<uint32_t> want;
+      for (size_t i = 0; i < kept; ++i) want.push_back(pairs[i].second);
+      EXPECT_EQ(got, want) << threshold << (prefix ? " prefix" : " all");
+    }
+  }
+}
+
+TEST(GramKeyTableTest, PrefetchOnAnEmptyTableIsANoOp) {
+  // An empty table has no slot array to hash onto: prefetching any key
+  // changes nothing and touches no memory.
+  GramKeyTable<uint64_t> table;
+  for (GramKey key : {GramKey{0}, GramKey{1}, kAllOnes}) table.Prefetch(key);
+  EXPECT_EQ(table.size(), 0u);
+  EXPECT_EQ(table.SlotBytes(), 0u);
+  EXPECT_EQ(table.Find(0), nullptr);
+  table.Insert(7) = 3;
+  for (GramKey key : {GramKey{0}, GramKey{7}, kAllOnes}) table.Prefetch(key);
+  EXPECT_EQ(table.size(), 1u);
+  ASSERT_NE(table.Find(7), nullptr);
+  EXPECT_EQ(*table.Find(7), 3u);
 }
 
 TEST(OrderedPrefixTest, RuleEqualityIsByOrderObjectAndCut) {

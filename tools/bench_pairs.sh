@@ -20,9 +20,10 @@
 # --counters instead runs one traced pass (--trace 1) per revision and
 # compares the work counters that a change making the same work cheaper
 # must keep: join.*, adaptive.steps.*, adaptive.transitions,
-# adaptive.catchup_tuples and exec.parallel.epochs. It prints each
-# counter of both sides and exits non-zero on any difference (or on a
-# wrong answer); timings are not compared.
+# adaptive.catchup_tuples and exec.parallel.epochs (the set
+# tools/work_counters.py defines, and the CI work gate checks against
+# its golden). It prints each counter of both sides and exits non-zero
+# on any difference (or on a wrong answer); timings are not compared.
 #
 # Runs are sequential and each perfbench process uses the host's CPUs,
 # so nothing else should run meanwhile. perfbench/ and BENCHMARK.json
@@ -109,29 +110,8 @@ if ((counters)); then
       exit 1
     }
   done
-  python3 - "$work/base.json" "$work/new.json" <<'EOF'
-import json
-import re
-import sys
-
-COUNTERS = re.compile(r"join\..*|adaptive\.steps\..*|adaptive\.transitions"
-                      r"|adaptive\.catchup_tuples|exec\.parallel\.epochs")
-base, new = (json.load(open(path)) for path in sys.argv[1:3])
-for name, result in (("base", base), ("new", new)):
-    if not result.get("correct", False):
-        sys.exit("bench_pairs: %s gave a wrong answer" % name)
-names = sorted(n for n in set(base["metrics"]) | set(new["metrics"])
-               if COUNTERS.fullmatch(n))
-differ = 0
-for name in names:
-    b = base["metrics"].get(name, {}).get("value")
-    n = new["metrics"].get(name, {}).get("value")
-    same = b == n
-    differ += not same
-    print("%-36s %18s %18s  %s" % (name, b, n, "same" if same else "DIFFERS"))
-print("%d of %d counters differ" % (differ, len(names)))
-sys.exit(1 if differ or not names else 0)
-EOF
+  python3 "$repo/tools/work_counters.py" diff "$work/base.json" \
+    "$work/new.json"
   exit 0
 fi
 
